@@ -121,7 +121,7 @@ from .resilience import (
 )
 from .service import ServiceConfig, ServiceWorkload
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     "CATEGORIES",

@@ -175,18 +175,23 @@ def compute_block(
     ) / n
     c = xs[np.newaxis, :] + 1j * ys[:, np.newaxis]
 
-    z = np.zeros_like(c)
     colors = np.zeros(c.shape, dtype=np.int16)
-    live = np.ones(c.shape, dtype=bool)
+    flat_colors = colors.reshape(-1)  # a view: writes land in ``colors``
+    # Carry only the pixels still iterating, and where they belong.
+    c = c.ravel()
+    z = np.zeros_like(c)
+    where = np.arange(c.size)
     total_iterations = 0.0
     for iteration in range(1, grid.colors + 1):
-        z[live] = z[live] * z[live] + c[live]
-        escaped = live & (np.abs(z) > 2.0)
-        colors[escaped] = iteration
-        total_iterations += float(live.sum())
-        live &= ~escaped
-        if not live.any():
-            break
+        z = z * z + c
+        escaped = np.abs(z) > 2.0
+        total_iterations += float(z.size)
+        if escaped.any():
+            flat_colors[where[escaped]] = iteration
+            live = ~escaped
+            z, c, where = z[live], c[live], where[live]
+            if not z.size:
+                break
     # pixels that never escape keep color 0 (inside the set)
     _BLOCK_CACHE[key] = (colors, total_iterations)
     return colors.copy(), total_iterations

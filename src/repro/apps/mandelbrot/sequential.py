@@ -40,7 +40,7 @@ def run_sequential(
             colors, iterations = compute_block(grid, block)
             results[block.index] = colors
             total_iterations += iterations
-            yield sim.process(host.compute(block_flops(iterations)))
+            yield host.compute(block_flops(iterations))
 
     process = sim.process(driver(sim))
     sim.run(until=process)

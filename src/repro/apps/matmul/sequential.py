@@ -57,9 +57,7 @@ def run_naive(
     def driver(sim):
         out["c"] = a @ b
         working_set = 3.0 * n * n * BYTES_PER_ELEMENT
-        yield sim.process(
-            host.compute(multiply_flops(n), working_set)
-        )
+        yield host.compute(multiply_flops(n), working_set)
 
     process = sim.process(driver(sim))
     sim.run(until=process)
@@ -92,7 +90,7 @@ def run_blocked(
                     acc = block_multiply_add(
                         acc, block_of(a, i, k, s), block_of(b, k, j, s)
                     )
-                    yield sim.process(host.compute(flops, working_set))
+                    yield host.compute(flops, working_set)
                 set_block(c, i, j, s, acc)
 
     process = sim.process(driver(sim))

@@ -45,7 +45,7 @@ BASELINE: dict = {
             "nodes": 64,
             "messengers": 8,
             "sim_seconds": 0.1060639999999998,
-            "events": 2728,
+            "events": 1043,
             "remote_hops": 128,
         },
         "10": {
@@ -53,7 +53,7 @@ BASELINE: dict = {
             "nodes": 640,
             "messengers": 80,
             "sim_seconds": 1.0121899999999733,
-            "events": 27280,
+            "events": 10401,
             "remote_hops": 1280,
         },
         "100": {
@@ -61,7 +61,7 @@ BASELINE: dict = {
             "nodes": 6400,
             "messengers": 800,
             "sim_seconds": 10.064001999998293,
-            "events": 272800,
+            "events": 104533,
             "remote_hops": 12800,
         },
         "1000": {
@@ -69,7 +69,7 @@ BASELINE: dict = {
             "nodes": 64000,
             "messengers": 8000,
             "sim_seconds": 100.61052000017939,
-            "events": 2728000,
+            "events": 1047287,
             "remote_hops": 128000,
         },
     },

@@ -89,7 +89,7 @@ BASELINE: dict = {
                 "rejected_admission": 0,
                 "rejected_breaker": 0
             },
-            "trace_digest": "6701dbc0146dcc3eefcacf673681a172"
+            "trace_digest": "faeb77f780a936ebe3c8d2d9db01736d"
         },
         "messengers/churn_2x": {
             "goodput_rps": 183.33,
@@ -105,7 +105,7 @@ BASELINE: dict = {
                 "rejected_admission": 42,
                 "rejected_breaker": 60
             },
-            "trace_digest": "b10210d15ddb46564de1a26a60c39ea5"
+            "trace_digest": "de795c554153e6b11576928e54872c94"
         },
         "messengers/churn_below": {
             "goodput_rps": 128.33,
@@ -121,7 +121,7 @@ BASELINE: dict = {
                 "rejected_admission": 0,
                 "rejected_breaker": 0
             },
-            "trace_digest": "0d48395b7b284eb35e30c89fde044424"
+            "trace_digest": "708cadb7de24c712d36b76b8401174af"
         },
         "messengers/loss_crash_2x": {
             "goodput_rps": 130.0,
@@ -137,7 +137,7 @@ BASELINE: dict = {
                 "rejected_admission": 38,
                 "rejected_breaker": 88
             },
-            "trace_digest": "dfcf33b0e2d3de133899d0d460e69a14"
+            "trace_digest": "b89a4636d23ccd2a556be7d11cc7dd46"
         },
         "messengers/loss_crash_below": {
             "goodput_rps": 113.33,
@@ -153,7 +153,7 @@ BASELINE: dict = {
                 "rejected_admission": 0,
                 "rejected_breaker": 0
             },
-            "trace_digest": "6ff603f0335efbf2aea830bb12253905"
+            "trace_digest": "f9687990fdb985eeec764a066a5a8b89"
         },
         "messengers/overload_2x": {
             "goodput_rps": 200.0,
@@ -169,7 +169,7 @@ BASELINE: dict = {
                 "rejected_admission": 35,
                 "rejected_breaker": 53
             },
-            "trace_digest": "6a7ca1dc2369a9c7f449b5848fa54b99"
+            "trace_digest": "9429f95d55437a9e8805cbdc1ead730b"
         },
         "messengers/overload_2x_nodeg": {
             "goodput_rps": 28.33,
@@ -185,7 +185,7 @@ BASELINE: dict = {
                 "rejected_admission": 0,
                 "rejected_breaker": 0
             },
-            "trace_digest": "20614c7929083e4bd4d7e36388d2db20"
+            "trace_digest": "c698fed1a86e7c7c6263d47a5fc4d2ec"
         },
         "pvm/below": {
             "goodput_rps": 128.33,
@@ -201,7 +201,7 @@ BASELINE: dict = {
                 "rejected_admission": 0,
                 "rejected_breaker": 0
             },
-            "trace_digest": "b30e0c18de64edaac13568ec8a44aa6c"
+            "trace_digest": "1af48ea1e02f6778b287061d7128ba86"
         },
         "pvm/churn_2x": {
             "goodput_rps": 76.67,
@@ -217,7 +217,7 @@ BASELINE: dict = {
                 "rejected_admission": 37,
                 "rejected_breaker": 106
             },
-            "trace_digest": "3e70e629044f12cd8c357e77c1d3b21b"
+            "trace_digest": "7b0216d6fca5af92a569305c0c47e974"
         },
         "pvm/churn_below": {
             "goodput_rps": 128.33,
@@ -233,7 +233,7 @@ BASELINE: dict = {
                 "rejected_admission": 0,
                 "rejected_breaker": 0
             },
-            "trace_digest": "cd56d4affaf73b4dcf21be08b4a0fcb9"
+            "trace_digest": "a26f82d7057ef3111f199c1008949737"
         },
         "pvm/loss_crash_2x": {
             "goodput_rps": 50.0,
@@ -249,7 +249,7 @@ BASELINE: dict = {
                 "rejected_admission": 39,
                 "rejected_breaker": 131
             },
-            "trace_digest": "cc6f1e204938de7d470edc921d011ae9"
+            "trace_digest": "c65f4657bd2142bcfcb84fc1dda80e9a"
         },
         "pvm/loss_crash_below": {
             "goodput_rps": 115.0,
@@ -265,7 +265,7 @@ BASELINE: dict = {
                 "rejected_admission": 0,
                 "rejected_breaker": 0
             },
-            "trace_digest": "29cbd79c21ba6c38d8bdfff8153c03d2"
+            "trace_digest": "20384410b33427d7ac4d8c9bf7d7aa7b"
         },
         "pvm/overload_2x": {
             "goodput_rps": 73.33,
@@ -281,7 +281,7 @@ BASELINE: dict = {
                 "rejected_admission": 37,
                 "rejected_breaker": 105
             },
-            "trace_digest": "60ddd490390c7698f90393ce4f6ca809"
+            "trace_digest": "47a7e09dc499410c95d6ef9bb4456268"
         },
         "pvm/overload_2x_nodeg": {
             "goodput_rps": 36.67,
@@ -297,7 +297,7 @@ BASELINE: dict = {
                 "rejected_admission": 0,
                 "rejected_breaker": 0
             },
-            "trace_digest": "37244e85028c059a8150914f538bfe09"
+            "trace_digest": "daf57f31be226f456ea866895e2007b3"
         }
     },
     "search": {

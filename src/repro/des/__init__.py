@@ -5,8 +5,8 @@ Public surface:
 * :class:`Simulator` — clock + event queue;
 * :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf`;
 * :class:`Process` (usually created via :meth:`Simulator.process`);
-* :class:`Resource`, :class:`Store`, :class:`PriorityStore`,
-  :class:`FilterStore`;
+* :class:`Resource` (and its :class:`Hold`), :class:`Store`,
+  :class:`PriorityStore`, :class:`FilterStore`;
 * :class:`Interrupt`, :class:`SimulationError` exceptions;
 * :class:`RngRegistry` — deterministic named RNG streams.
 """
@@ -35,7 +35,7 @@ from .errors import (
     StopSimulation,
 )
 from .process import Process
-from .resources import FilterStore, PriorityStore, Resource, Store
+from .resources import FilterStore, Hold, PriorityStore, Resource, Store
 from .rng import RngRegistry
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "set_default_scheduler",
     "EventAlreadyTriggered",
     "FilterStore",
+    "Hold",
     "Interrupt",
     "PriorityStore",
     "Process",

@@ -136,13 +136,14 @@ def scheduler_default(kind: str):
 
 
 #: Valid values for ``Simulator(mcl_backend=...)``: the int-opcode
-#: interpreter (default) or the basic-block closures compiler
-#: (:mod:`repro.messengers.mcl.closures`).  Both produce bit-identical
-#: Command streams and instruction counts; only host wall clock differs.
+#: interpreter (the differential-test oracle) or the basic-block
+#: closures compiler (:mod:`repro.messengers.mcl.closures`, the
+#: default).  Both produce bit-identical Command streams and
+#: instruction counts; only host wall clock differs.
 MCL_BACKENDS = ("interp", "closures")
 
 #: Process-wide default MCL backend for new simulators.
-_DEFAULT_MCL_BACKEND = "interp"
+_DEFAULT_MCL_BACKEND = "closures"
 
 
 def set_default_mcl_backend(kind: str) -> str:
@@ -791,6 +792,14 @@ class Simulator:
             return queue[0][0]
         return queue.peek_time()
 
+    def due_now(self) -> bool:
+        """True if an event is queued for the current instant."""
+        queue, now = self._queue, self._now
+        if self._pop is not _heappop:
+            # Calendar: same-time entries share a bucket (itself a heap).
+            queue = queue._buckets[int(now * queue._inv_width) & queue._mask]
+        return bool(queue) and queue[0][0] == now
+
     def step(self) -> None:
         """Process the single next event.
 
@@ -963,6 +972,9 @@ _WAIT_LABELS = {
     "_FilterGet": "filter_store.get",
     "_Put": "store.put",
     "_Request": "resource.request",
+    "Hold": "resource.hold",
+    "CpuHold": "host.cpu",
+    "FrameHold": "ethernet.medium",
     "Timeout": "timeout",
     "AnyOf": "any_of",
     "AllOf": "all_of",

@@ -2,7 +2,9 @@
 
 Three primitives cover everything the upper layers need:
 
-* :class:`Resource` — a counted semaphore (e.g. a CPU, a bus);
+* :class:`Resource` — a counted semaphore (e.g. a CPU, a bus), with
+  :class:`Hold` for the common "occupy a slot for a fixed time" in one
+  kernel event;
 * :class:`Store` — an unbounded-or-bounded FIFO of Python objects
   (e.g. a daemon's inbox, a PVM message queue);
 * :class:`PriorityStore` — a store that releases the smallest item first
@@ -18,7 +20,7 @@ from typing import Any, Callable, Optional
 from .core import Event, PENDING, Simulator, _NO_WAITERS
 from .errors import SimulationError
 
-__all__ = ["Resource", "Store", "PriorityStore", "FilterStore"]
+__all__ = ["Resource", "Hold", "Store", "PriorityStore", "FilterStore"]
 
 
 class _Request(Event):
@@ -33,13 +35,48 @@ class _Request(Event):
         self._ok = None
         self._defused = False
         self.resource = resource
-        resource._do_request(self)
+        resource.enqueue(self)
+
+    #: Called by the resource when the slot is granted.
+    _grant = Event.succeed
 
     def __enter__(self) -> "_Request":
         return self
 
     def __exit__(self, *exc) -> None:
         self.resource.release(self)
+
+
+class Hold(Event):
+    """One slot of a resource, occupied for ``seconds`` once granted.
+
+    The event *is* the completion: queued FIFO with the requests, it is
+    scheduled at ``grant time + seconds`` (the float sum a request /
+    timeout / release sequence produces) and its first callback,
+    :meth:`Resource.finish`, returns the slot, so the next in line has
+    started before a waiter resumes.  One kernel event, no process.
+    Subclasses override :meth:`_grant` to decide at grant time (a
+    crashed host fails the hold) and :meth:`_done` to account for it.
+    """
+
+    __slots__ = ("seconds", "start", "_cbs")
+
+    def __init__(self, resource: "Resource", seconds: float):
+        if seconds < 0:
+            raise ValueError(f"negative hold time {seconds}")
+        Event.__init__(self, resource.sim)
+        #: The callback list, still reachable while it is being run.
+        self.callbacks = self._cbs = [resource.finish]
+        self.seconds = seconds
+
+    def _grant(self) -> None:
+        self.start = self.sim._now  # for the owner's accounting
+        self._ok = True
+        self._value = None
+        self.sim.schedule(self, self.seconds)
+
+    def _done(self) -> None:
+        """The time is up and the slot returned; waiters run next."""
 
 
 class Resource:
@@ -80,15 +117,24 @@ class Resource:
         """Request a slot; the returned event fires when granted."""
         return _Request(self)
 
-    def _do_request(self, request: _Request) -> None:
-        if len(self._users) < self.capacity:
-            self._users.add(request)
-            request.succeed()
-        else:
-            self._waiting.append(request)
+    def hold(self, seconds: float) -> Hold:
+        """Occupy a slot for ``seconds`` once granted; the returned
+        event fires when the time is up and the slot is returned."""
+        return self.enqueue(Hold(self, seconds))
 
-    def release(self, request: _Request) -> None:
-        """Return a previously granted slot."""
+    def enqueue(self, waiter):
+        """Grant ``waiter`` (a request or a :class:`Hold`) a slot now,
+        or queue it behind everyone already waiting."""
+        if len(self._users) < self.capacity:
+            self._users.add(waiter)
+            waiter._grant()
+        else:
+            self._waiting.append(waiter)
+        return waiter
+
+    def release(self, request) -> None:
+        """Return a previously granted slot (a :class:`Hold` does this
+        itself when its time is up)."""
         if request in self._users:
             self._users.remove(request)
         else:
@@ -101,7 +147,28 @@ class Resource:
         while self._waiting and len(self._users) < self.capacity:
             nxt = self._waiting.popleft()
             self._users.add(nxt)
-            nxt.succeed()
+            nxt._grant()
+
+    def finish(self, hold: Hold) -> None:
+        """First callback of every :class:`Hold`: return the slot."""
+        self.release(hold)
+        if hold._ok:
+            hold._done()
+        cbs = hold._cbs
+        if len(cbs) > 1 and self.sim.due_now():
+            # Something else is due at this very instant.  A sub-process
+            # woke its waiter through an event created now, behind all
+            # that, and simulated results are pinned to that order: the
+            # waiters go round again (in the same slots, so a parked
+            # process still detaches; a failure is unhandled only then).
+            hold.callbacks = [_rearm, *cbs[1:]]
+            del cbs[1:]
+            hold._defused = True
+            self.sim.schedule(hold)
+
+
+def _rearm(hold: Hold) -> None:
+    hold._defused = False
 
 
 class _Get(Event):
@@ -177,6 +244,17 @@ class Store:
     def put(self, item: Any) -> Event:
         """Insert ``item``; returned event fires when accepted."""
         return _Put(self, item)
+
+    def push(self, item: Any) -> None:
+        """:meth:`put` for a caller that ignores the returned event:
+        none is scheduled, unless the store is full (or has putters
+        queued) and the item must wait its turn."""
+        if self._putters or len(self._items) >= self.capacity:
+            self.put(item)
+            return
+        self._store_item(item)
+        if self._getters:
+            self._dispatch()
 
     def get(self) -> Event:
         """Remove and return the oldest item via the returned event."""

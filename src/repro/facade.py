@@ -124,12 +124,12 @@ class ClusterConfig:
         drain in bit-identical order; this is purely a perf knob.
     ``mcl_backend``
         MCL execution backend: ``None`` (the process-wide default,
-        normally ``"interp"``), ``"interp"`` (the int-opcode
-        interpreter) or ``"closures"`` (basic-block superinstructions
-        compiled to Python closures — see the README "Performance"
-        section).  Both produce bit-identical Command streams, trace
-        digests and interpretation accounting; this is purely a perf
-        knob.
+        normally ``"closures"``), ``"closures"`` (basic-block
+        superinstructions compiled to Python closures — see the README
+        "Performance" section) or ``"interp"`` (the int-opcode
+        interpreter, kept as the differential oracle).  Both produce
+        bit-identical Command streams, trace digests and
+        interpretation accounting; this is purely a perf knob.
     """
 
     n_hosts: int = 4

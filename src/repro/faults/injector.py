@@ -114,19 +114,9 @@ class FaultInjector:
             self._instant(
                 "hang", {"host": event.host, "duration": event.duration}
             )
-            self.sim.process(
-                self._hang(event.host, event.duration), daemon=True
-            )
-
-    def _hang(self, host_name: str, duration: float):
-        """Seize the host's CPU: everything queued behind us waits."""
-        host = self.network.host(host_name)
-        request = host.cpu.request()
-        yield request
-        try:
-            yield self.sim.timeout(duration)
-        finally:
-            host.cpu.release(request)
+            # Seize the host's CPU: everything queued behind us waits.
+            # A bare hold — a hang is not work (no busy_seconds, no span).
+            self.network.host(event.host).cpu.hold(event.duration)
 
     # -- per-packet decisions ----------------------------------------------
 

@@ -533,7 +533,7 @@ class MailboxService:
         dest = box.node.daemon
         mail.src_daemon = origin
         mail.dst_daemon = dest
-        self.system.network.enqueue(Packet(
+        self.system.network.post(Packet(
             src=origin,
             dst=dest,
             port=self.port_name,
@@ -560,22 +560,18 @@ class MailboxService:
             packet = yield port.get()
             kind, mail = packet.payload
             if kind == "repl":
-                yield self.sim.process(
-                    daemon.host.busy(
-                        costs.hop_dispatch_s,
-                        category="dispatch",
-                        label="mail.gossip",
-                    )
+                yield daemon.host.busy(
+                    costs.hop_dispatch_s,
+                    category="dispatch",
+                    label="mail.gossip",
                 )
                 self.replication.on_gossip(daemon.name, mail)
                 continue
             if kind == "rmail":
-                yield self.sim.process(
-                    daemon.host.busy(
-                        costs.hop_dispatch_s,
-                        category="dispatch",
-                        label="mail.replica",
-                    )
+                yield daemon.host.busy(
+                    costs.hop_dispatch_s,
+                    category="dispatch",
+                    label="mail.replica",
                 )
                 self.replication.on_rmail(daemon.name, mail)
                 continue
@@ -598,7 +594,7 @@ class MailboxService:
                     self.count("forwarded")
                     mail.src_daemon = daemon.name
                     mail.dst_daemon = target
-                    self.system.network.enqueue(Packet(
+                    self.system.network.post(Packet(
                         src=daemon.name,
                         dst=target,
                         port=self.port_name,
@@ -606,12 +602,10 @@ class MailboxService:
                         size_bytes=packet.size_bytes,
                     ))
                     continue
-            yield self.sim.process(
-                daemon.host.busy(
-                    costs.hop_dispatch_s,
-                    category="dispatch",
-                    label="mail.deliver",
-                )
+            yield daemon.host.busy(
+                costs.hop_dispatch_s,
+                category="dispatch",
+                label="mail.deliver",
             )
             self._deliver_now(box, mail)
 

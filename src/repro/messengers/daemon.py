@@ -101,7 +101,7 @@ class Daemon:
 
     def enqueue_ready(self, messenger: Messenger) -> None:
         """Make a Messenger runnable on this daemon (no cost charged)."""
-        self.ready.put(messenger)
+        self.ready.push(messenger)
 
     # -- processes ----------------------------------------------------------------
 
@@ -114,9 +114,9 @@ class Daemon:
         while True:
             packet = yield port.get()
             if spent is not None:
-                # By the time a further arrival lands, the previous
-                # packet's delivery bookkeeping (its done event) is
-                # gone, so the object can go back to the free-list.
+                # By the time a further arrival lands nothing else
+                # refers to the previous packet (recycle() checks), so
+                # the object can go back to the free-list.
                 recycle(spent)
             spent = packet
             kind, data = packet.payload
@@ -130,12 +130,10 @@ class Daemon:
             if kind == "messenger":
                 messenger = data
                 try:
-                    yield self.sim.process(
-                        self.host.busy(
-                            costs.hop_dispatch_s,
-                            category="dispatch",
-                            label="hop.dispatch",
-                        )
+                    yield self.host.busy(
+                        costs.hop_dispatch_s,
+                        category="dispatch",
+                        label="hop.dispatch",
                     )
                 except HostCrashedError:
                     # The crash landed while the dispatch was queued on
@@ -156,12 +154,10 @@ class Daemon:
             elif kind == "create":
                 messenger, item, origin_node = data
                 try:
-                    yield self.sim.process(
-                        self.host.busy(
-                            costs.hop_dispatch_s,
-                            category="dispatch",
-                            label="hop.dispatch",
-                        )
+                    yield self.host.busy(
+                        costs.hop_dispatch_s,
+                        category="dispatch",
+                        label="hop.dispatch",
                     )
                 except HostCrashedError:
                     continue
@@ -174,12 +170,10 @@ class Daemon:
                 self._create_local(messenger, item, origin_node)
                 # creation cost itself
                 try:
-                    yield self.sim.process(
-                        self.host.busy(
-                            2 * costs.logical_create_s,
-                            category="dispatch",
-                            label="logical.create",
-                        )
+                    yield self.host.busy(
+                        2 * costs.logical_create_s,
+                        category="dispatch",
+                        label="logical.create",
                     )
                 except HostCrashedError:
                     continue
@@ -220,18 +214,16 @@ class Daemon:
             )
             self.system.messenger_done(messenger, lost=True)
             return
-        yield self.sim.process(
-            self.host.busy(
-                costs.hop_dispatch_s,
-                category="dispatch",
-                label="hop.forward",
-            )
+        yield self.host.busy(
+            costs.hop_dispatch_s,
+            category="dispatch",
+            label="hop.forward",
         )
         self.stats.forwarded += 1
         if self.sim.obs is not None:
             self.sim.obs.count("messengers.forwarded")
         self.system.trace(messenger, "forward", self.name, f"-> {target}")
-        self.system.network.enqueue(self.system.network.packet(
+        self.system.network.post(self.system.network.packet(
             src=self.name,
             dst=target,
             port=self.port_name,
@@ -318,9 +310,7 @@ class Daemon:
             # One uninterrupted burst (the non-preemptive policy); the
             # attribution is split below: script interpretation versus
             # whatever the natives charged (compute, copies, ...).
-            yield self.sim.process(
-                self.host.busy(busy, category=None, label="slice")
-            )
+            yield self.host.busy(busy, category=None, label="slice")
         if not messenger.alive:
             # Killed mid-burst (crash recovery, or an external kill()):
             # the work was charged, but the resulting command must not
@@ -386,12 +376,10 @@ class Daemon:
                     logical.delete_link(link)
                     self.stats.links_deleted += 1
             if moves:
-                yield self.sim.process(
-                    self.host.busy(
-                        costs.logical_create_s * len(moves),
-                        category="dispatch",
-                        label="link.delete",
-                    )
+                yield self.host.busy(
+                    costs.logical_create_s * len(moves),
+                    category="dispatch",
+                    label="link.delete",
                 )
 
         if not moves:
@@ -440,15 +428,13 @@ class Daemon:
                     payload=("messenger", replica),
                     size_bytes=state,
                 )
-                self.system.network.enqueue(packet)
+                self.system.network.post(packet)
                 self.system.checkpoint_dispatch(
                     replica, holder=self.name, kind="hop"
                 )
         local_cost = dispatch_cost + copy_cost
         if local_cost > 0:
-            yield self.sim.process(
-                self.host.busy(local_cost, category=None, label="hop.local")
-            )
+            yield self.host.busy(local_cost, category=None, label="hop.local")
         metrics = self.sim.obs
         if metrics is not None:
             metrics.count("messengers.hops", n_local + n_remote)
@@ -530,7 +516,7 @@ class Daemon:
                     payload=("create", (replica, item, origin)),
                     size_bytes=state + 64,  # state + create request header
                 )
-                self.system.network.enqueue(packet)
+                self.system.network.post(packet)
                 self.system.checkpoint_dispatch(
                     replica,
                     holder=self.name,
@@ -541,10 +527,8 @@ class Daemon:
                 )
         local_cost = dispatch_cost + copy_cost
         if local_cost > 0:
-            yield self.sim.process(
-                self.host.busy(
-                    local_cost, category=None, label="create.local"
-                )
+            yield self.host.busy(
+                local_cost, category=None, label="create.local"
             )
         metrics = self.sim.obs
         if metrics is not None:

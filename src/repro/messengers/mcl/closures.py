@@ -27,20 +27,20 @@ Contract with the rest of the system (the bit-identity guarantee):
   the same order, with the same argument values, and native exceptions
   propagate raw exactly as in the interpreter.
 
-Two deliberate, documented divergences, both confined to error paths
-that terminate the Messenger (no Command is returned, nothing is
-charged): :class:`~.vm.MclRuntimeError` *message texts* for failed
-operations may differ (the error class and the raise point in the
-program do not), and the ``max_instructions`` runaway guard triggers at
-the first block boundary past the limit rather than the exact
-instruction.
+One deliberate, documented divergence, confined to error paths that
+terminate the Messenger (no Command is returned, nothing is charged):
+:class:`~.vm.MclRuntimeError` *message texts* for failed operations may
+differ (the error class and the raise point in the program do not).
+The ``max_instructions`` runaway guard stops on the interpreter's exact
+instruction: a block the remaining budget cannot cover is handed to
+:func:`.vm.run`.
 
-Select the backend per simulator (``Simulator(mcl_backend="closures")``
-/ ``ClusterConfig(mcl_backend="closures")``) or process-wide with
-:func:`repro.des.set_default_mcl_backend`; the interpreter remains the
-default.  When per-opcode counts are requested the shared reference
-path (:func:`.vm._run_counting`) runs instead, exactly as in the
-interpreter.
+This is the default backend; the interpreter stays as the differential
+oracle (``Simulator(mcl_backend="interp")`` /
+``ClusterConfig(mcl_backend="interp")``, or process-wide with
+:func:`repro.des.set_default_mcl_backend`).  When per-opcode counts are
+requested the shared reference path (:func:`.vm._run_counting`) runs
+instead, exactly as in the interpreter.
 """
 
 from __future__ import annotations
@@ -95,6 +95,7 @@ from .vm import (
     _create_command,
     _nav_name,
     _run_counting,
+    run as _vm_run,
 )
 
 __all__ = ["run", "compile_blocks", "CompiledBlocks"]
@@ -603,6 +604,16 @@ def run(
     executed = 0
     while True:
         fn, count = blocks[index]
+        if executed + count > max_instructions:
+            # The budget ends inside this block.  A block is
+            # straight-line, so the interpreter cannot reach its
+            # terminator either: it raises on the exact instruction.
+            frame.pc = compiled.entry_pc[index]
+            frame.block = -1
+            return _vm_run(
+                frame, messenger_vars, node_vars, netvar, call_native,
+                max_instructions - executed,
+            )
         executed += count
         command, index = fn(
             frame, stack, messenger_vars, node_vars, netvar, call_native

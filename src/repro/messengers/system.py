@@ -546,7 +546,7 @@ class MessengersSystem:
             if dest == checkpoint.holder:
                 self.daemons[dest].enqueue_ready(clone)
             else:
-                self.network.enqueue(Packet(
+                self.network.post(Packet(
                     src=checkpoint.holder,
                     dst=dest,
                     port=Daemon.port_name,
@@ -579,7 +579,7 @@ class MessengersSystem:
                 self.daemons[dest]._create_local(clone, item, origin)
                 self.daemons[dest].enqueue_ready(clone)
             else:
-                self.network.enqueue(Packet(
+                self.network.post(Packet(
                     src=checkpoint.holder,
                     dst=dest,
                     port=Daemon.port_name,

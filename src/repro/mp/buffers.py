@@ -22,30 +22,42 @@ __all__ = ["PackBuffer", "UnpackBuffer", "estimate_size"]
 _SCALAR_BYTES = 8  # ints and doubles on the simulated platform
 
 
+#: Exact-type sizes of the fixed-width values; subclasses (numpy
+#: scalars, enums) take the isinstance chain and get the same answers.
+_FIXED_BYTES = {type(None): 0, bool: 1}
+_FIXED_BYTES.update(dict.fromkeys((int, float, complex), _SCALAR_BYTES))
+
+
 def estimate_size(value: Any) -> int:
     """Wire size, in bytes, of an arbitrary payload object.
 
     Used by convenience APIs that send Python objects directly; explicit
     :class:`PackBuffer` use gives byte-exact accounting.
     """
-    if value is None:
-        return 0
-    if isinstance(value, bool):
-        return 1
+    size = _FIXED_BYTES.get(type(value))
+    if size is not None:
+        return size
+    if isinstance(value, dict):
+        # Messenger state (str keys, mostly scalar values) is sized
+        # again on every hop: count those here, not by a call each.
+        fixed = _FIXED_BYTES.get
+        total = 0
+        for key, item in value.items():
+            if type(key) is str and key.isascii():
+                total += len(key)
+            else:
+                total += estimate_size(key)
+            size = fixed(type(item))
+            total += estimate_size(item) if size is None else size
+        return total
     if isinstance(value, (int, float, complex)):
         return _SCALAR_BYTES
-    if isinstance(value, np.ndarray):
-        return int(value.nbytes)
-    if isinstance(value, np.generic):
+    if isinstance(value, (np.ndarray, np.generic)):
         return int(value.nbytes)
     if isinstance(value, (bytes, bytearray)):
         return len(value)
     if isinstance(value, str):
         return len(value.encode("utf-8"))
-    if isinstance(value, dict):
-        return sum(
-            estimate_size(k) + estimate_size(v) for k, v in value.items()
-        )
     if isinstance(value, (list, tuple, set, frozenset)):
         return sum(estimate_size(item) for item in value)
     # Fallback: a couple of words of header for opaque objects.

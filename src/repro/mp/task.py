@@ -214,7 +214,7 @@ class TaskContext:
             size_bytes=self._wire_bytes(buf.nbytes),
             deadline_s=deadline_s,
         )
-        self._system.network.enqueue(packet)
+        self._system.network.post(packet)
 
     def _wire_bytes(self, nbytes: int) -> int:
         """Payload inflated by the message-passing protocol overhead
@@ -254,7 +254,7 @@ class TaskContext:
                 payload=(tid, self._task.tid, tag, buf),
                 size_bytes=self._wire_bytes(buf.nbytes),
             )
-            self._system.network.enqueue(packet)
+            self._system.network.post(packet)
 
     # -- receiving ------------------------------------------------------------
 
@@ -357,9 +357,7 @@ class TaskContext:
 
     def compute(self, flops: float, working_set_bytes: float = 0.0):
         """Generator: run a computation on this task's host CPU."""
-        yield self.sim.process(
-            self._task.host.compute(flops, working_set_bytes)
-        )
+        yield self._task.host.compute(flops, working_set_bytes)
 
     def delay(self, seconds: float):
         """Generator: idle (not holding the CPU) for virtual time."""
@@ -378,9 +376,7 @@ class TaskContext:
         uncharged span so callers can split the attribution themselves.
         """
         if seconds > 0:
-            yield self.sim.process(
-                self._task.host.busy(seconds, category=category, label=label)
-            )
+            yield self._task.host.busy(seconds, category=category, label=label)
 
     # -- groups ------------------------------------------------------------------
 

@@ -16,10 +16,48 @@ from __future__ import annotations
 
 import math
 
-from ..des import Resource, Simulator
+from ..des import Hold, Resource, Simulator
 from .costs import CostModel
 
 __all__ = ["EthernetSegment"]
+
+
+class FrameHold(Hold):
+    """One frame on the medium; ``then`` is the payload's next one."""
+
+    __slots__ = ("segment", "payload", "then", "requested")
+
+    def __init__(self, segment: "EthernetSegment", payload: int, then):
+        Hold.__init__(
+            self, segment._medium, segment.costs.wire_seconds(payload)
+        )
+        self.segment = segment
+        self.payload = payload
+        self.then = then
+
+    def _done(self) -> None:
+        """Account the carried frame; start the payload's next one."""
+        segment = self.segment
+        payload = self.payload
+        segment.busy_seconds += self.seconds
+        segment.bytes_carried += payload
+        segment.frames_carried += 1
+        metrics = self.sim.obs
+        if metrics is not None:
+            metrics.count("netsim.eth.frames")
+            metrics.count("netsim.eth.bytes", payload)
+            stall = self.start - self.requested
+            if stall > 0:
+                # Contention: time spent waiting for the shared medium
+                # (not charged to the ledger — it overlaps other
+                # senders' wire time).
+                metrics.count("netsim.eth.stall_seconds", stall)
+                metrics.observe("netsim.eth.stall", stall)
+            metrics.span(
+                segment.name, "frame", "wire", self.start, self.sim.now,
+            )
+        if self.then is not None:
+            segment._arbitrate(self.then)
 
 
 class EthernetSegment:
@@ -40,48 +78,26 @@ class EthernetSegment:
         #: Accumulated medium-busy time.
         self.busy_seconds: float = 0.0
 
-    def transmit(self, size_bytes: int):
-        """Process generator: occupy the medium while sending a payload.
-
-        Completes when the last fragment has been received at the far
-        end; the caller layers endpoint costs on top.
+    def transmit(self, size_bytes: int) -> FrameHold:
+        """Occupy the medium while sending a payload, one hold per
+        fragment, each joining the back of the queue when the one
+        before is done.  The returned event fires when the last has been
+        received; the caller layers endpoint costs on top.
         """
         if size_bytes < 0:
             raise ValueError(f"negative frame size {size_bytes}")
         fragments = max(1, math.ceil(size_bytes / self.MTU))
-        last = size_bytes - (fragments - 1) * self.MTU
+        last = first = FrameHold(
+            self, size_bytes - (fragments - 1) * self.MTU, None
+        )
+        for _ in range(fragments - 1):
+            first = FrameHold(self, self.MTU, first)
+        self._arbitrate(first)
+        return last
 
-        def _transmit(sim):
-            for index in range(fragments):
-                payload = self.MTU if index < fragments - 1 else last
-                requested = sim.now
-                req = self._medium.request()
-                yield req
-                try:
-                    duration = self.costs.wire_seconds(payload)
-                    start = sim.now
-                    yield sim.timeout(duration)
-                    self.busy_seconds += duration
-                    self.bytes_carried += payload
-                    self.frames_carried += 1
-                    metrics = sim.obs
-                    if metrics is not None:
-                        metrics.count("netsim.eth.frames")
-                        metrics.count("netsim.eth.bytes", payload)
-                        stall = start - requested
-                        if stall > 0:
-                            # Contention: time spent waiting for the
-                            # shared medium (not charged to the ledger —
-                            # it overlaps other senders' wire time).
-                            metrics.count("netsim.eth.stall_seconds", stall)
-                            metrics.observe("netsim.eth.stall", stall)
-                        metrics.span(
-                            self.name, "frame", "wire", start, sim.now,
-                        )
-                finally:
-                    self._medium.release(req)
-
-        return _transmit(self.sim)
+    def _arbitrate(self, frame: FrameHold) -> None:
+        frame.requested = self.sim.now
+        self._medium.enqueue(frame)
 
     def utilization(self) -> float:
         """Fraction of elapsed virtual time the medium was busy."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ..des import Resource, Simulator, Store
+from ..des import Event, Hold, Resource, Simulator, Store
 from ..des.errors import SimulationError
 from .costs import CostModel
 
@@ -28,6 +28,41 @@ class HostCrashedError(SimulationError):
     *source* host is down — software running "on" a crashed host is a
     bug in the caller's recovery logic, so it surfaces loudly.
     """
+
+
+class CpuHold(Hold):
+    """One :meth:`Host.busy` period on the host's CPU."""
+
+    __slots__ = ("host", "category", "label")
+
+    def __init__(self, host: "Host", seconds, category, label):
+        Hold.__init__(self, host.cpu, seconds)
+        self.host = host
+        self.category = category
+        self.label = label
+
+    def _grant(self) -> None:
+        if self.host.crashed:
+            # Crashed while queued for the CPU: the failure fires now,
+            # and its first callback hands the CPU to the next in line.
+            self.fail(self.host._down())
+        else:
+            Hold._grant(self)
+
+    def _done(self) -> None:
+        host = self.host
+        host.busy_seconds += self.seconds
+        metrics = host.sim.obs
+        if metrics is not None and (
+            self.category is not None or self.label is not None
+        ):
+            # With category=None the span is recorded for the trace but
+            # not charged — the caller attributes the time itself (e.g.
+            # pack copy + protocol overhead).
+            metrics.span(
+                host.name, self.label or self.category, self.category,
+                self.start, host.sim.now,
+            )
 
 
 class Host:
@@ -71,25 +106,26 @@ class Host:
 
     # -- CPU ------------------------------------------------------------------
 
-    def compute(self, flops: float, working_set_bytes: float = 0.0):
-        """Process generator: occupy the CPU for a computation.
+    def compute(
+        self, flops: float, working_set_bytes: float = 0.0
+    ) -> Event:
+        """Occupy the CPU for a computation (see :meth:`busy`)::
 
-        Usage from another process::
-
-            yield sim.process(host.compute(1e6, working_set_bytes=8e6))
+            yield host.compute(1e6, working_set_bytes=8e6)
         """
-        seconds = self.costs.compute_seconds(
-            flops, working_set_bytes, self.cpu_scale
-        )
-        return self.busy(seconds, category="compute")
+        return self.busy(self.compute_seconds(flops, working_set_bytes))
 
     def busy(
         self,
         seconds: float,
         category: Optional[str] = "compute",
         label: Optional[str] = None,
-    ):
-        """Process generator: occupy the CPU for a fixed duration.
+    ) -> Event:
+        """Occupy the CPU for a fixed duration, FIFO; ``yield`` the
+        returned event.  A running period completes through a crash;
+        one whose turn comes on a crashed host fails with
+        :class:`HostCrashedError`, as does one asked of a host already
+        down.
 
         ``category`` attributes the time in the cost ledger when a
         metrics registry is attached (see :mod:`repro.obs`); pass
@@ -97,36 +133,13 @@ class Host:
         charges themselves (the daemon's interpretation slices do).
         ``label`` overrides the span name shown in trace exports.
         """
-        if seconds < 0:
-            raise ValueError(f"negative busy time {seconds}")
+        hold = CpuHold(self, seconds, category, label)  # validates seconds
+        if self.crashed:
+            return self.sim.event().fail(self._down())
+        return self.cpu.enqueue(hold)
 
-        def _busy(sim):
-            if self.crashed:
-                raise HostCrashedError(f"host {self.name!r} is down")
-            req = self.cpu.request()
-            yield req
-            start = sim.now
-            try:
-                if self.crashed:
-                    # Crashed while queued for the CPU.
-                    raise HostCrashedError(f"host {self.name!r} is down")
-                yield sim.timeout(seconds)
-                self.busy_seconds += seconds
-                metrics = sim.obs
-                if metrics is not None and (
-                    category is not None or label is not None
-                ):
-                    # With category=None the span is recorded for the
-                    # trace but not charged — the caller attributes the
-                    # time itself (e.g. pack copy + protocol overhead).
-                    metrics.span(
-                        self.name, label or category, category,
-                        start, sim.now,
-                    )
-            finally:
-                self.cpu.release(req)
-
-        return _busy(self.sim)
+    def _down(self) -> HostCrashedError:
+        return HostCrashedError(f"host {self.name!r} is down")
 
     def compute_seconds(
         self, flops: float, working_set_bytes: float = 0.0

@@ -260,8 +260,8 @@ class Network:
         if host.crashed:
             return
         lost_items = host.crash()
-        # _tx entries are (packet, done) pairs; delivery queues hold
-        # bare packets.  Normalize to packets for the listeners.
+        # _tx entries are (packet, done-or-None) pairs; delivery queues
+        # hold bare packets.  Normalize to packets for the listeners.
         lost = [
             item[0] if isinstance(item, tuple) else item
             for item in lost_items
@@ -331,48 +331,50 @@ class Network:
             if not packet.is_local:
                 if faults is not None and self._lossy:
                     action = faults.packet_action(packet)
-                if action == "partitioned":
-                    # The interface never puts the frame on the wire.
-                    done.succeed(packet)
-                    continue
-                yield self.sim.process(
-                    self.segment.transmit(packet.size_bytes)
-                )
-                yield self.sim.timeout(overhead)
-                endpoint_s += overhead
-            if action in ("drop", "corrupt"):
-                # Lost on the wire / failed the receiver's checksum.
+                # Partitioned: the frame never gets onto the wire.
+                if action != "partitioned":
+                    yield self.segment.transmit(packet.size_bytes)
+                    yield self.sim.timeout(overhead)
+                    endpoint_s += overhead
+            # Otherwise lost on the wire ("drop"), failed the receiver's
+            # checksum ("corrupt"), or never sent.
+            if action == "deliver" or action == "duplicate":
+                dst_host = self._hosts[packet.dst]
+                if dst_host.crashed:
+                    if faults is not None:
+                        faults.count("packets_to_dead_host")
+                else:
+                    yield from self._deliver(
+                        packet, dst_host, 2 if action == "duplicate" else 1
+                    )
+                    metrics = self.sim.obs
+                    if metrics is not None:
+                        metrics.charge("protocol", endpoint_s)
+                        metrics.span(
+                            host.name,
+                            f"tx:{packet.port}",
+                            None,
+                            start,
+                            self.sim.now,
+                            args={
+                                "dst": packet.dst,
+                                "bytes": packet.size_bytes,
+                            },
+                            charge=False,
+                        )
+            if done is not None:
                 done.succeed(packet)
-                continue
-            dst_host = self._hosts[packet.dst]
-            if dst_host.crashed:
-                if faults is not None:
-                    faults.count("packets_to_dead_host")
-                done.succeed(packet)
-                continue
-            copies = 2 if action == "duplicate" else 1
-            yield from self._deliver(host, packet, dst_host, copies)
-            metrics = self.sim.obs
-            if metrics is not None:
-                metrics.charge("protocol", endpoint_s)
-                metrics.span(
-                    host.name,
-                    f"tx:{packet.port}",
-                    None,
-                    start,
-                    self.sim.now,
-                    args={"dst": packet.dst, "bytes": packet.size_bytes},
-                    charge=False,
-                )
-            done.succeed(packet)
 
-    def _deliver(self, src_host: Host, packet: Packet, dst_host: Host,
-                 copies: int):
+    def _deliver(self, packet: Packet, dst_host: Host, copies: int):
         """Hand ``copies`` arrivals of ``packet`` to the destination port,
         applying dedup + acking for reliable (sequenced) packets."""
         faults = self.faults
         queue = dst_host.port(packet.port)
         for _ in range(copies):
+            # What is already due at this very instant runs before the
+            # pump goes on, as when it waited for every hand-over
+            # (simulated results are pinned to that order).
+            wait = self.sim.due_now()
             if packet.seq is not None:
                 key = (packet.src, packet.port, packet.seq)
                 seen = self._seen_seqs.setdefault(packet.dst, set())
@@ -382,7 +384,7 @@ class Network:
                 # Ack every received copy — a duplicate's ack covers the
                 # case where the first ack itself was lost.
                 faults.count("acks_sent")
-                self.enqueue(Packet(
+                self.post(Packet(
                     src=packet.dst,
                     dst=packet.src,
                     port="_ack",
@@ -395,7 +397,10 @@ class Network:
                     continue
             elif copies > 1 and faults is not None:
                 faults.count("duplicates_delivered")
-            yield queue.put(packet)
+            if wait:
+                yield queue.put(packet)
+            else:
+                queue.push(packet)
             self.delivered += 1
             metrics = self.sim.obs
             if metrics is not None:
@@ -449,7 +454,7 @@ class Network:
             if src_host.crashed or dst_host.crashed:
                 break
             faults.count("retransmits")
-            src_host.port("_tx").put((packet, self.sim.event()))
+            src_host.port("_tx").push((packet, None))
             delay *= backoff
             delay *= 1.0 + jitter * jitter_rng.random()
         else:
@@ -533,12 +538,20 @@ class Network:
 
     def enqueue(self, packet: Packet):
         """Hand ``packet`` to the source host's NIC; returns the event
-        that fires once the packet has been *delivered* at the far end.
-
-        Enqueueing itself is immediate — callers that want asynchronous
-        (PVM-style buffered) sends simply do not wait on the returned
-        event.  FIFO order per source host is guaranteed.
+        that fires once it has been *delivered* at the far end (or
+        lost trying).  Enqueueing itself is immediate and FIFO per
+        source host.  Callers that never wait use :meth:`post`.
         """
+        done = self.sim.event()
+        self._enqueue(packet, done)
+        return done
+
+    def post(self, packet: Packet) -> None:
+        """Fire-and-forget delivery (PVM-style buffered send): as
+        :meth:`enqueue`, without an event for anyone to wait on."""
+        self._enqueue(packet, None)
+
+    def _enqueue(self, packet: Packet, done) -> None:
         if packet.dst not in self._hosts:
             raise KeyError(f"unknown destination host {packet.dst!r}")
         if packet.src not in self._hosts:
@@ -549,7 +562,6 @@ class Network:
                 f"cannot send from crashed host {packet.src!r}"
             )
         packet.send_time = self.sim.now
-        done = self.sim.event()
         if (
             self._lossy
             and packet.seq is None
@@ -578,8 +590,7 @@ class Network:
             self.sim.process(
                 self._retransmitter(packet, ack_event), daemon=True
             )
-        src_host.port("_tx").put((packet, done))
-        return done
+        src_host.port("_tx").push((packet, done))
 
     def send(self, packet: Packet):
         """Process generator: carry ``packet`` and wait for delivery."""
@@ -590,10 +601,6 @@ class Network:
             return packet
 
         return _send(self.sim)
-
-    def post(self, packet: Packet) -> None:
-        """Fire-and-forget delivery (never waits)."""
-        self.enqueue(packet)
 
     def receive(self, host_name: str, port: str):
         """Event: the next packet arriving at ``host_name``/``port``."""

@@ -371,7 +371,7 @@ class ReplicationService:
                 continue
             inflight.add(target)
             self.count("replica_dispatches")
-            self.system.network.enqueue(Packet(
+            self.system.network.post(Packet(
                 src=origin,
                 dst=target,
                 port=self.service.port_name,
@@ -654,7 +654,7 @@ class ReplicationService:
             self.count("gossip_lost_to_crash")
             return
         self.count("gossip_bytes", size)
-        self.system.network.enqueue(Packet(
+        self.system.network.post(Packet(
             src=src,
             dst=dst,
             port=self.service.port_name,

@@ -13,6 +13,7 @@ from repro.apps.mandelbrot import (
     run_pvm,
     run_sequential,
 )
+from repro.apps.mandelbrot.kernel import clear_block_cache
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +58,48 @@ class TestTaskGrid:
         assert grid.block(0).result_bytes == 16 * 16 * 2
 
 
+def _reference_block(grid, block):
+    """The kernel as it was before it carried only live pixels:
+    boolean-mask gather/scatter over the whole block, ``np.abs`` over
+    escaped pixels too.  Kept as the reference for exact equality."""
+    x_min, y_min, x_max, y_max = grid.region
+    n = grid.image_size
+    xs = x_min + (x_max - x_min) * (
+        np.arange(block.col0, block.col0 + block.cols) + 0.5
+    ) / n
+    ys = y_min + (y_max - y_min) * (
+        np.arange(block.row0, block.row0 + block.rows) + 0.5
+    ) / n
+    c = xs[np.newaxis, :] + 1j * ys[:, np.newaxis]
+    z = np.zeros_like(c)
+    colors = np.zeros(c.shape, dtype=np.int16)
+    live = np.ones(c.shape, dtype=bool)
+    total_iterations = 0.0
+    for iteration in range(1, grid.colors + 1):
+        z[live] = z[live] * z[live] + c[live]
+        escaped = live & (np.abs(z) > 2.0)
+        colors[escaped] = iteration
+        total_iterations += float(live.sum())
+        live &= ~escaped
+        if not live.any():
+            break
+    return colors, total_iterations
+
+
 class TestKernel:
+    @pytest.mark.parametrize("image_size, grid_n", [(64, 4), (320, 8)])
+    def test_compacted_kernel_equals_the_masked_loop(
+        self, image_size, grid_n
+    ):
+        grid = TaskGrid(image_size, grid_n)
+        clear_block_cache()  # the cold path is the one under test
+        for block in grid:
+            colors, iterations = compute_block(grid, block)
+            want_colors, want_iterations = _reference_block(grid, block)
+            assert colors.dtype == want_colors.dtype
+            assert np.array_equal(colors, want_colors), block.index
+            assert iterations == want_iterations, block.index
+
     def test_known_points(self, small_grid):
         image = run_sequential(small_grid).image
         # Center of the set (around -0.5+0i) never escapes -> color 0.

@@ -1,9 +1,11 @@
-"""Unit tests for Resource / Store / PriorityStore / FilterStore."""
+"""Unit tests for Resource / Hold / Store / PriorityStore / FilterStore."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.des import (
     FilterStore,
+    Hold,
     PriorityStore,
     Resource,
     Simulator,
@@ -115,6 +117,173 @@ class TestResource:
 
         p = sim.process(proc(sim))
         sim.run(until=p)
+
+
+#: Inexact binary fractions and exact ones, few enough that arrivals
+#: tie with each other and with completions all the time.
+_TIMES = st.sampled_from([0.1, 0.2, 0.25, 0.3, 0.7, 1e-3, 1.0])
+
+
+def _generator_spelling(server, seconds):
+    """What hold() replaces, kept as the oracle."""
+    request = server.request()
+    yield request
+    granted_at = server.sim.now
+    yield server.sim.timeout(seconds)
+    server.release(request)
+    return granted_at
+
+
+def _hold_spelling(server, seconds):
+    hold = server.hold(seconds)
+    yield hold
+    return hold.start
+
+
+def _run_jobs(jobs, spell_hold):
+    """Run ``(arrival, seconds, use_hold)`` jobs on one capacity-1
+    resource; jobs with ``use_hold`` occupy it through ``spell_hold``,
+    the rest through the generator spelling.  Returns the completion
+    log ``(job, granted_at, done_at)`` in completion order."""
+    sim = Simulator()
+    server = Resource(sim, capacity=1)
+    log = []
+
+    def job(index, arrival, seconds, use_hold):
+        yield sim.timeout(arrival)
+        spell = spell_hold if use_hold else _generator_spelling
+        granted_at = yield from spell(server, seconds)
+        log.append((index, granted_at, sim.now))
+
+    for index, spec in enumerate(jobs):
+        sim.process(job(index, *spec))
+    sim.run()
+    assert server.count == 0 and server.queue_length == 0
+    return log
+
+
+class TestHold:
+    def test_hold_is_one_event_and_returns_the_slot(self, sim):
+        cpu = Resource(sim, capacity=1)
+        first, second = cpu.hold(3), cpu.hold(2)
+        assert isinstance(first, Hold)
+        assert (cpu.count, cpu.queue_length) == (1, 1)
+        assert sim.run(until=second) is None
+        assert sim.now == 5
+        assert (first.start, second.start) == (0, 3)
+        assert (cpu.count, cpu.queue_length) == (0, 0)
+        assert sim._eid == 2  # one kernel event per hold, no process
+
+    def test_queued_hold_can_be_withdrawn(self, sim):
+        cpu = Resource(sim, capacity=1)
+        cpu.hold(3)
+        queued = cpu.hold(2)
+        cpu.release(queued)
+        sim.run()
+        assert sim.now == 3
+        assert not queued.triggered
+
+    @pytest.mark.parametrize("spelling", [
+        _hold_spelling,
+        # What Host.busy was: the generator spelling as a sub-process.
+        lambda cpu, s: (yield cpu.sim.process(_generator_spelling(cpu, s))),
+    ], ids=["hold", "sub-process"])
+    def test_waiter_resumes_behind_what_is_already_due_that_instant(
+        self, spelling
+    ):
+        """A tie: the hold was scheduled first, but the sub-process it
+        replaces woke its waiter through an event created on completion
+        — behind the sleeper's timeout — and results depend on it."""
+        sim = Simulator()
+        cpu = Resource(sim)
+        order = []
+
+        def holder():
+            yield from spelling(cpu, 1.0)
+            order.append("holder")
+
+        def sleeper():
+            yield sim.timeout(0.5)
+            yield sim.timeout(0.5)
+            order.append("sleeper")
+
+        sim.process(holder())
+        sim.process(sleeper())
+        sim.run()
+        assert order == ["sleeper", "holder"]
+
+    def test_negative_hold_rejected(self, sim):
+        with pytest.raises(ValueError):
+            Resource(sim).hold(-1)
+
+    @given(jobs=st.lists(
+        st.tuples(_TIMES, _TIMES, st.booleans()), min_size=1, max_size=12,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_holds_match_the_all_generator_spelling(self, jobs):
+        """hold() mixed with request()/timeout()/release() completes at
+        exactly the float times, and in the order, of the spelling it
+        replaces."""
+        assert _run_jobs(jobs, _hold_spelling) == _run_jobs(
+            jobs, _generator_spelling
+        )
+
+
+def _drain(store, insert, items, getters):
+    """Insert ``items`` at t=0 via ``insert(store, item)``, then at t=1
+    take ``len(getters)`` items (one ``get`` argument tuple each)."""
+    sim = store.sim
+    got = []
+
+    def consumer():
+        yield sim.timeout(1)
+        for args in getters:
+            got.append((yield store.get(*args)))
+
+    for item in items:
+        insert(store, item)
+    sim.process(consumer())
+    sim.run()
+    return got, store.items
+
+
+class TestPush:
+    """push() is put() for a caller that ignores the returned event."""
+
+    @pytest.mark.parametrize("make, getters, expected", [
+        # Bounded and full: the overflow queues in put order.
+        (lambda sim: Store(sim, capacity=2), [()] * 4, [5, 1, 3, 4]),
+        (lambda sim: PriorityStore(sim), [()] * 4, [1, 3, 4, 5]),
+        (
+            lambda sim: FilterStore(sim),
+            [(lambda item: item % 2 == 0,), (), ()],
+            [4, 5, 1],
+        ),
+    ], ids=["bounded-full", "priority", "filter"])
+    def test_push_behaves_as_put(self, make, getters, expected):
+        items = [5, 1, 3, 4]
+        pushed = _drain(make(Simulator()), Store.push, items, getters)
+        put = _drain(
+            make(Simulator()), lambda store, item: store.put(item),
+            items, getters,
+        )
+        assert pushed == put
+        assert pushed[0] == expected
+
+    def test_push_wakes_a_parked_getter_without_a_put_event(self, sim):
+        store = Store(sim)
+        got = []
+
+        def consumer():
+            got.append((yield store.get()))
+
+        sim.process(consumer(), daemon=True)
+        sim.run()  # parks the consumer
+        events = sim._eid
+        store.push("x")
+        assert sim._eid == events + 1  # the get's wake-up, nothing else
+        sim.run()
+        assert got == ["x"]
 
 
 class TestStore:

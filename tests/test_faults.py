@@ -286,9 +286,7 @@ class TestCrashRestart:
         network = build_lan(sim, 2)
         network.crash_host("host1")
         with pytest.raises(HostCrashedError):
-            sim.run(until=sim.process(
-                network.host("host1").busy(1e-3)
-            ))
+            sim.run(until=network.host("host1").busy(1e-3))
         with pytest.raises(HostCrashedError):
             network.enqueue(Packet(
                 src="host1", dst="host0", port="data",

@@ -229,6 +229,24 @@ class TestBackendDifferential:
             assert compiled["pc"] == reference["pc"], source
             assert compiled["stack"] == reference["stack"], source
 
+    def test_runaway_guard_stops_on_the_same_instruction(self):
+        """The shrunk Hypothesis find: an endless loop cut off by
+        ``max_instructions`` used to stop at a block boundary under
+        closures (``k`` one assignment ahead of the interpreter)."""
+        source = (
+            "p() { a = 1; b = 2; c = 3; k = 0; "
+            "while (k < 3) { k = 0; while (k < 1) { a = 0; k = k + 1; } "
+            "k = k + 1; } return a + b + c; }"
+        )
+        reference = execute(vm.run, source)
+        compiled = execute(closures.run, source)
+        assert reference["error"] == "MclRuntimeError"
+        assert compiled["error"] == reference["error"]
+        assert compiled["commands"] == reference["commands"] == []
+        assert compiled["mvars"] == reference["mvars"]
+        assert compiled["pc"] == reference["pc"]
+        assert compiled["stack"] == reference["stack"]
+
     def test_known_tricky_shapes(self):
         """Deterministic regression shapes (no Hypothesis shrinking)."""
         shapes = [

@@ -168,16 +168,16 @@ class TestCompiledBlocks:
 
 class TestBackendSelection:
     def test_simulator_knob_validates(self):
-        assert Simulator().mcl_backend == "interp"
-        assert Simulator(mcl_backend="closures").mcl_backend == "closures"
+        assert Simulator().mcl_backend == "closures"
+        assert Simulator(mcl_backend="interp").mcl_backend == "interp"
         with pytest.raises(ValueError, match="unknown MCL backend"):
             Simulator(mcl_backend="jit")
 
     def test_process_default_round_trips(self):
         assert set(MCL_BACKENDS) == {"interp", "closures"}
-        with mcl_backend_default("closures"):
-            assert Simulator().mcl_backend == "closures"
-        assert Simulator().mcl_backend == "interp"
+        with mcl_backend_default("interp"):
+            assert Simulator().mcl_backend == "interp"
+        assert Simulator().mcl_backend == "closures"
         with pytest.raises(ValueError):
             set_default_mcl_backend("nope")
 

@@ -2,16 +2,19 @@
 
 import pytest
 
-from repro.des import Simulator
+from repro.des import SimDeadlockError, Simulator
+from repro.faults import FaultInjector, FaultPlan
 from repro.netsim import (
     CacheModel,
     CostModel,
     EthernetSegment,
     Host,
+    HostCrashedError,
     Network,
     Packet,
     build_lan,
 )
+from repro.obs import MetricsRegistry
 
 
 @pytest.fixture
@@ -70,7 +73,7 @@ class TestHost:
         host = Host(sim, "h0", costs)
 
         def proc(sim):
-            yield sim.process(host.compute(costs.cpu_flops))  # 1 second
+            yield host.compute(costs.cpu_flops)  # 1 second
 
         p = sim.process(proc(sim))
         sim.run(until=p)
@@ -81,7 +84,7 @@ class TestHost:
         host = Host(sim, "h0", costs)
 
         def job(sim):
-            yield sim.process(host.compute(costs.cpu_flops))
+            yield host.compute(costs.cpu_flops)
 
         sim.process(job(sim))
         sim.process(job(sim))
@@ -103,13 +106,124 @@ class TestHost:
         assert host.port("pvm") is q
         assert host.port_names == ["pvm"]
 
+    def test_stale_process_wrapper_fails_loudly(self, sim, costs):
+        host = Host(sim, "h0", costs)
+        hold = host.busy(1.0)  # an event now, not a generator
+        with pytest.raises(TypeError, match="needs a generator"):
+            sim.process(hold)
+
+
+def _busy_jobs(sim, host, log, count=3, seconds=1.0):
+    """``count`` jobs asking for the CPU at t=0, FIFO; each logs
+    ``(name, outcome, time)`` when its busy period ends or fails."""
+
+    def job(name):
+        try:
+            yield host.busy(seconds)
+        except HostCrashedError:
+            log.append((name, "crashed", sim.now))
+        else:
+            log.append((name, "done", sim.now))
+
+    for index in range(count):
+        sim.process(job(f"job{index}"))
+
+
+def _at(sim, when, action):
+    def later():
+        yield sim.timeout(when)
+        action()
+
+    sim.process(later())
+
+
+class TestHostCrashSemantics:
+    def test_queued_hold_fails_at_grant_time_running_one_completes(
+        self, sim, costs
+    ):
+        host = Host(sim, "h0", costs)
+        log = []
+        _busy_jobs(sim, host, log)
+        _at(sim, 0.5, host.crash)
+        sim.run()
+        # job0 was running: it completes through the crash.  job1 and
+        # job2 were queued: each fails when its turn comes (t=1.0, not
+        # the crash instant 0.5) and hands the CPU straight on.
+        assert log == [
+            ("job0", "done", 1.0),
+            ("job1", "crashed", 1.0),
+            ("job2", "crashed", 1.0),
+        ]
+        assert host.busy_seconds == 1.0
+        assert host.cpu.count == 0 and host.cpu.queue_length == 0
+
+    def test_restart_before_the_grant_lets_a_queued_hold_run(
+        self, sim, costs
+    ):
+        host = Host(sim, "h0", costs)
+        log = []
+        _busy_jobs(sim, host, log, count=2)
+        _at(sim, 0.3, host.crash)
+        _at(sim, 0.6, host.restart)
+        sim.run()
+        assert log == [("job0", "done", 1.0), ("job1", "done", 2.0)]
+        assert host.busy_seconds == 2.0
+
+    def test_busy_on_a_host_already_down_fails_at_once(self, sim, costs):
+        host = Host(sim, "h0", costs)
+        log = []
+        _busy_jobs(sim, host, log, count=1)
+        host.crash()  # before job0's process even starts
+        _at(sim, 0.25, lambda: _busy_jobs(sim, host, log, count=1))
+        sim.run()
+        assert log == [
+            ("job0", "crashed", 0.0), ("job0", "crashed", 0.25),
+        ]
+        assert host.busy_seconds == 0.0
+
+    def test_hang_holds_the_cpu_without_busy_seconds(self, sim, costs):
+        net = build_lan(sim, 1, costs)
+        host = net.host("host0")
+        FaultInjector(
+            net, FaultPlan().hang("host0", at=0.1, duration=0.5)
+        )
+        log = []
+        _at(sim, 0.2, lambda: _busy_jobs(sim, host, log, 1, seconds=0.25))
+        sim.run()
+        # The hang holds the CPU over [0.1, 0.6]; the job waits it out.
+        assert log == [("job0", "done", 0.6 + 0.25)]
+        assert host.busy_seconds == 0.25
+
+    def test_deadlock_report_names_the_cpu_and_the_medium(
+        self, sim, costs
+    ):
+        host = Host(sim, "h0", costs)
+        segment = EthernetSegment(sim, costs)
+        # Slots taken and never returned: everything behind them starves.
+        host.cpu.request()
+        segment._medium.request()
+
+        def wants_cpu():
+            yield host.busy(1.0)
+
+        def wants_wire():
+            yield segment.transmit(4000)
+
+        sim.process(wants_cpu())
+        sim.process(wants_wire())
+        with pytest.raises(SimDeadlockError) as excinfo:
+            sim.run()
+        assert dict(excinfo.value.blocked) == {
+            "wants_cpu": "host.cpu", "wants_wire": "ethernet.medium",
+        }
+
 
 class TestEthernet:
     def test_transmission_time(self, sim, costs):
         segment = EthernetSegment(sim, costs)
 
         def proc(sim):
-            yield sim.process(segment.transmit(1000))
+            yield segment.transmit(1000)
 
         p = sim.process(proc(sim))
         sim.run(until=p)
@@ -121,7 +235,7 @@ class TestEthernet:
         segment = EthernetSegment(sim, costs)
 
         def proc(sim):
-            yield sim.process(segment.transmit(4000))
+            yield segment.transmit(4000)
 
         p = sim.process(proc(sim))
         sim.run(until=p)
@@ -138,7 +252,7 @@ class TestEthernet:
         ends = []
 
         def sender(sim):
-            yield sim.process(segment.transmit(1500))
+            yield segment.transmit(1500)
             ends.append(sim.now)
 
         sim.process(sender(sim))
@@ -146,6 +260,58 @@ class TestEthernet:
         sim.run()
         one = costs.wire_seconds(1500)
         assert ends == [pytest.approx(one), pytest.approx(2 * one)]
+
+    def test_short_frame_interleaves_with_a_fragmented_transfer(
+        self, sim, costs
+    ):
+        segment = EthernetSegment(sim, costs)
+        ends = {}
+
+        def sender(name, size):
+            yield segment.transmit(size)
+            ends[name] = sim.now
+
+        sim.process(sender("bulk", 4000))
+        sim.process(sender("short", 64))
+        sim.run()
+        # Each fragment re-arbitrates at the back of the queue, so the
+        # 64 B frame goes second, not after all three bulk fragments.
+        full, short = costs.wire_seconds(1500), costs.wire_seconds(64)
+        assert ends["short"] == full + short
+        assert ends["bulk"] == pytest.approx(
+            2 * full + short + costs.wire_seconds(1000)
+        )
+        assert segment.frames_carried == 4
+        assert segment.bytes_carried == 4064
+        assert segment.busy_seconds == pytest.approx(ends["bulk"])
+
+    def test_stall_counters_match_the_pre_hold_values(self, costs):
+        """Values captured on the commit before frames became single
+        kernel events (5d091dc): same scenario, same floats."""
+        sim = Simulator()
+        registry = MetricsRegistry()
+        sim.metrics = registry
+        net = build_lan(sim, 3, costs)
+        net.post(Packet("host0", "host2", "bulk", None, 4000))
+        net.post(Packet("host1", "host2", "svc", None, 64))
+        sim.run()
+        snap = registry.snapshot()
+        assert snap["netsim.eth.frames"] == 4
+        assert snap["netsim.eth.bytes"] == 4064
+        assert snap["netsim.eth.stall_seconds"] == 0.002964
+        assert snap["netsim.eth.stall"]["count"] == 2
+        assert snap["netsim.eth.stall"]["sum"] == 0.002964
+        frames = [
+            (s.t0, s.t1) for s in registry.spans if s.track == "lan0"
+        ]
+        assert frames == [
+            (0.0004, 0.0026000000000000003),
+            (0.0026000000000000003, 0.0033640000000000002),
+            (0.0033640000000000002, 0.005564),
+            (0.005564, 0.0072640000000000005),
+        ]
+        assert sim.now == 0.007664000000000001
+        assert net.segment.busy_seconds == 0.006864
 
     def test_negative_size_rejected(self, sim, costs):
         segment = EthernetSegment(sim, costs)
