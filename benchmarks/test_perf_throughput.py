@@ -1,69 +1,32 @@
-"""PERF — simulator throughput: the fast-path speedup assertions.
+"""PERF — simulator throughput: floors and the closures-backend leg.
 
-Three measurements (no pytest-benchmark dependency — the CI perf-smoke
+Two measurements (no pytest-benchmark dependency — the CI perf-smoke
 job runs this file with plain pytest):
 
-* the live DES kernel versus the frozen pre-optimisation kernel
-  (:mod:`repro.perf.slowkernel`), raced back-to-back in one process —
-  the tentpole ``>=2x`` events/sec claim;
 * the absolute throughput suite (events/sec, opcodes/sec, packets/sec)
   with generous sanity floors;
-* the regression guard against the committed ``BENCH_perf.json``.
-  Raw events/sec is host-dependent, so the guard compares the
-  *host-independent* number: the live-vs-reference speedup ratio now
-  versus when the baseline was committed.  A >25% drop in that ratio
-  means the kernel itself lost events/sec, not that CI got a slower
-  machine;
 * the closures-backend leg: the MCL basic-block closures compiler
-  raced against the int-opcode interpreter (floor + the same 25%
-  ratio-regression guard).  Its bit-identity gate lives in
+  raced against the int-opcode interpreter back-to-back in one process
+  (floor + a 25% ratio-regression guard against the committed
+  ``BENCH_perf.json``).  Its bit-identity gate lives in
   ``tests/test_perf_determinism.py`` and runs in the same CI job.
+
+Kernel and packet-path speed is compared commit against commit with
+``benchmark/run.py --compare``.
 """
 
 import json
 from functools import lru_cache
 from pathlib import Path
 
-from repro.perf import (
-    des_speedup_vs_reference,
-    throughput_suite,
-    vm_backend_speedup,
-)
+from repro.perf import throughput_suite, vm_backend_speedup
 
 BENCH_PERF = Path(__file__).resolve().parents[1] / "BENCH_perf.json"
 
 
 @lru_cache(maxsize=None)
-def _speedup(workload: str) -> dict:
-    return des_speedup_vs_reference(n=60_000, rounds=25, workload=workload)
-
-
-@lru_cache(maxsize=None)
 def _backend_speedup() -> dict:
     return vm_backend_speedup(n=20_000, rounds=15)
-
-
-def test_des_events_per_sec_at_least_2x(show):
-    result = _speedup("chain")
-    show(
-        f"DES chain: live {result['live_per_sec']:,.0f} ev/s vs "
-        f"reference {result['ref_per_sec']:,.0f} ev/s -> "
-        f"{result['speedup']:.2f}x"
-    )
-    assert result["speedup"] >= 2.0
-
-
-def test_des_process_lifecycle_speedup(show):
-    # Spawn/park/complete is where the messenger layers spend their
-    # time; the fast path must win there too, not just on the pure
-    # event loop.
-    result = _speedup("mixed")
-    show(
-        f"DES mixed: live {result['live_per_sec']:,.0f} ev/s vs "
-        f"reference {result['ref_per_sec']:,.0f} ev/s -> "
-        f"{result['speedup']:.2f}x"
-    )
-    assert result["speedup"] >= 1.6
 
 
 def test_throughput_suite_floors(show):
@@ -78,28 +41,10 @@ def test_throughput_suite_floors(show):
     assert suite["net_packets"]["per_sec"] > 5_000
 
 
-def test_no_regression_vs_committed_baseline(show):
-    committed = json.loads(BENCH_PERF.read_text())
-    recorded = committed["current"]["speedup_vs_reference"]
-    for workload in ("chain", "mixed"):
-        measured = _speedup(workload)["speedup"]
-        pinned = recorded[workload]["speedup"]
-        show(
-            f"{workload}: speedup vs reference {measured:.2f}x "
-            f"(committed {pinned:.2f}x)"
-        )
-        assert measured >= 0.75 * pinned, (
-            f"{workload}: events/sec regressed >25% against the "
-            f"committed BENCH_perf.json baseline "
-            f"({measured:.2f}x vs {pinned:.2f}x)"
-        )
-
-
 def test_closures_backend_speedup_floor(show):
     # The closures-backend leg of the perf-smoke job.  The acceptance
     # target (>=3x, recorded in BENCH_perf.json) is measured on a quiet
-    # host; the CI floor is deliberately looser, the same margin policy
-    # the DES gates use.
+    # host; the CI floor is deliberately looser.
     result = _backend_speedup()
     show(
         f"MCL closures: {result['closures_per_sec']:,.0f} op/s vs "

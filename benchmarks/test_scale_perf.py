@@ -4,11 +4,9 @@ Two guards with different portability, same contract as the other perf
 suites:
 
 * The *simulated* side (final sim time, event count, remote-hop count
-  at every grid point, identical under both schedulers) is
-  deterministic — the truncated smoke grid must match the committed
-  blob bit-for-bit on any host.  Any divergence means the scale path
-  changed simulated behaviour, which the calendar queue / sharding /
-  pooling work is contractually forbidden from doing.
+  at every grid point) is deterministic — the truncated smoke grid
+  must match the committed blob bit-for-bit on any host.  Any
+  divergence means the scale path changed simulated behaviour.
 * ``events_per_sec`` is wall-clock.  The regression gate is
   host-normalised so machine speed cancels out: the *scale degradation
   ratio* (largest smoke point's throughput over the smallest
@@ -43,7 +41,7 @@ ALLOWED_REGRESSION = 0.25
 
 def _blob():
     if not hasattr(_blob, "cached"):
-        # run_scale_bench itself asserts scheduler equivalence and
+        # run_scale_bench itself asserts repeat agreement and
         # bit-identity against the module BASELINE at every point.
         _blob.cached = run_scale_bench(factors=SMOKE_FACTORS, repeats=2)
     return _blob.cached
@@ -69,11 +67,11 @@ def test_committed_full_grid_met_the_2x_target():
     committed = json.loads(BENCH_SCALE.read_text())
     current = committed["current"]
     assert current["within_2x"] is True
-    for kind, ratio in current["largest_vs_smallest_evps"].items():
-        assert ratio >= 0.5, (
-            f"committed blob shows {kind} throughput at 1000x fell "
-            f"below half of small-scale ({ratio:.2f}x)"
-        )
+    ratio = current["largest_vs_smallest_evps"]
+    assert ratio >= 0.5, (
+        f"committed blob shows throughput at 1000x fell below half of "
+        f"small-scale ({ratio:.2f}x)"
+    )
 
 
 def test_smoke_grid_is_bit_identical_to_committed(show):
@@ -90,26 +88,26 @@ def test_smoke_grid_is_bit_identical_to_committed(show):
     show(f"smoke factors {SMOKE_FACTORS}: simulated results bit-identical")
 
 
+def _evps_ratio(report) -> float:
+    return (
+        _point(report, GATE_FACTOR)["events_per_sec"]
+        / _point(report, NORM_FACTOR)["events_per_sec"]
+    )
+
+
 def test_throughput_ratio_regression_gate(show):
     committed = json.loads(BENCH_SCALE.read_text())
-    for kind in ("calendar", "heap"):
-        pinned_ratio = (
-            _point(committed["current"], GATE_FACTOR)["events_per_sec"][kind]
-            / _point(committed["current"], NORM_FACTOR)["events_per_sec"][kind]
-        )
-        current_ratio = (
-            _point(_blob()["current"], GATE_FACTOR)["events_per_sec"][kind]
-            / _point(_blob()["current"], NORM_FACTOR)["events_per_sec"][kind]
-        )
-        floor = pinned_ratio * (1.0 - ALLOWED_REGRESSION)
-        show(
-            f"{kind}: evps ratio {GATE_FACTOR}x/{NORM_FACTOR}x = "
-            f"{current_ratio:.3f} (committed {pinned_ratio:.3f}, "
-            f"floor {floor:.3f})"
-        )
-        assert current_ratio >= floor, (
-            f"{kind} scheduler: throughput at factor {GATE_FACTOR} "
-            f"degraded {(1 - current_ratio / pinned_ratio) * 100:.0f}% "
-            f"relative to factor {NORM_FACTOR} vs the committed blob — "
-            f"per-event cost is no longer scale-independent"
-        )
+    pinned_ratio = _evps_ratio(committed["current"])
+    current_ratio = _evps_ratio(_blob()["current"])
+    floor = pinned_ratio * (1.0 - ALLOWED_REGRESSION)
+    show(
+        f"evps ratio {GATE_FACTOR}x/{NORM_FACTOR}x = "
+        f"{current_ratio:.3f} (committed {pinned_ratio:.3f}, "
+        f"floor {floor:.3f})"
+    )
+    assert current_ratio >= floor, (
+        f"throughput at factor {GATE_FACTOR} degraded "
+        f"{(1 - current_ratio / pinned_ratio) * 100:.0f}% relative to "
+        f"factor {NORM_FACTOR} vs the committed blob — per-event cost "
+        f"is no longer scale-independent"
+    )

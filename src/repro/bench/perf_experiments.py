@@ -10,10 +10,12 @@ Two kinds of "after/before" live here, with different portability:
 * ``speedup_over_baseline`` divides current throughput by ``BASELINE``
   throughput.  Only meaningful on a host comparable to the one that
   captured the baseline — absolute events/sec move with the machine.
-* ``current.speedup_vs_reference`` races the live kernel against the
-  frozen pre-optimisation kernel (:mod:`repro.perf.slowkernel`)
-  back-to-back in one process.  That ratio is host-independent, and it
-  is what the CI perf-smoke guard asserts on.
+* ``current.backends`` races the closures MCL backend against the
+  reference interpreter back-to-back in one process.  That ratio is
+  host-independent, and it is what the CI perf-smoke guard asserts on.
+
+Kernel and packet-path changes are measured commit against commit with
+``benchmark/run.py --compare``, not here.
 """
 
 from __future__ import annotations
@@ -81,43 +83,24 @@ def run_perf_report(
     repeats: int = 3,
     figures: bool = True,
     speedup_rounds: int = 25,
-    backend: str = "interp",
 ) -> dict:
     """Measure the current tree; return the ``BENCH_perf.json`` blob.
 
     ``scale`` shrinks the microbenchmark iteration counts (CI smoke
     uses a fraction); ``figures=False`` skips the two end-to-end figure
-    sweeps, which dominate the runtime.  ``backend`` selects which MCL
-    backend the headline ``vm_opcodes`` probe and figure walls run on
-    (``"interp"`` keeps them comparable with ``BASELINE``); the
-    ``current.backends`` section always races interp against closures
-    back-to-back and, with ``figures=True``, measures the figure walls
-    under both backends.
+    sweeps, which dominate the runtime.  The headline ``vm_opcodes``
+    probe runs the interpreter, comparable with ``BASELINE``; the
+    figure walls run the stack as it ships (closures backend), and
+    ``current.backends`` races the two backends back-to-back.
     """
-    from ..des import MCL_BACKENDS, mcl_backend_default
-    from ..perf import (
-        des_speedup_vs_reference,
-        throughput_suite,
-        vm_backend_speedup,
-        vm_opcode_throughput,
-    )
+    from ..perf import throughput_suite, vm_backend_speedup
 
-    if backend not in MCL_BACKENDS:
-        raise ValueError(
-            f"unknown MCL backend {backend!r}; expected one of "
-            f"{MCL_BACKENDS}"
-        )
     vm_n = max(500, int(20_000 * scale))
     suite = throughput_suite(scale=scale, repeats=repeats)
-    if backend != "interp":
-        suite["vm_opcodes"] = vm_opcode_throughput(
-            vm_n, repeats, backend=backend
-        )
     comparison = vm_backend_speedup(
         n=vm_n, rounds=max(3, speedup_rounds // 2)
     )
     current: dict = {
-        "mcl_backend": backend,
         "microbench": {
             "des_events_per_sec": suite["des_events"]["per_sec"],
             "store_events_per_sec": suite["store_events"]["per_sec"],
@@ -125,14 +108,7 @@ def run_perf_report(
             "net_packets_per_sec": suite["net_packets"]["per_sec"],
         },
         "microbench_detail": suite,
-        "speedup_vs_reference": {
-            "chain": des_speedup_vs_reference(rounds=speedup_rounds),
-            "mixed": des_speedup_vs_reference(
-                rounds=speedup_rounds, workload="mixed"
-            ),
-        },
         "backends": {
-            "selected": backend,
             "vm": comparison,
             "closures_speedup": comparison["speedup"],
         },
@@ -142,8 +118,7 @@ def run_perf_report(
         for key in BASELINE["microbench"]
     }
     if figures:
-        with mcl_backend_default(backend):
-            walls = _figure_walls()
+        walls = _figure_walls()
         current["figures"] = walls
         over_baseline.update(
             {
@@ -151,13 +126,6 @@ def run_perf_report(
                 for key in BASELINE["figures"]
             }
         )
-        other = "closures" if backend == "interp" else "interp"
-        with mcl_backend_default(other):
-            other_walls = _figure_walls()
-        current["backends"]["figures"] = {
-            backend: walls,
-            other: other_walls,
-        }
     return {
         "baseline": BASELINE,
         "current": current,

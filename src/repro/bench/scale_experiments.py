@@ -2,9 +2,9 @@
 
 ``repro bench scale`` sweeps :data:`repro.perf.scale.SCALE_GRID` —
 daemon count x logical-ring size x walker-Messenger population growing
-three orders of magnitude (72 -> 72,000 logical entities) — under
-*both* schedulers (calendar and heap), asserting at every point that
-the simulated results are bit-identical between them.
+three orders of magnitude (72 -> 72,000 logical entities) — and
+asserts at every point that the simulated results match
+:data:`BASELINE` bit for bit.
 
 Two kinds of numbers come out, same contract as the other suites:
 
@@ -34,8 +34,7 @@ SMOKE_FACTORS = (1, 10, 100)
 #: What the scale sweep measured when the committed
 #: ``BENCH_scale.json`` was captured.  ``sim_seconds`` / ``events`` /
 #: ``remote_hops`` are simulated and must reproduce bit-identically on
-#: any host under either scheduler; ``events_per_sec`` is wall-clock on
-#: the capture machine (reference only — the guard normalises).
+#: any host.
 BASELINE: dict = {
     "captured": "scale layer at introduction (v1.4.0)",
     "hops_per_walker": HOPS_PER_WALKER,
@@ -81,8 +80,8 @@ def run_scale_bench(factors=None, repeats: int = 1) -> dict:
 
     ``factors`` selects a subset of :data:`SCALE_GRID` (e.g. the CI
     smoke grid); ``repeats`` re-runs each point, keeping the best
-    wall-clock throughput per scheduler (simulated values are asserted
-    identical across repeats by the scheduler-equivalence check).
+    wall-clock throughput (simulated values are asserted identical
+    across repeats).
     """
     grid = [
         spec
@@ -99,21 +98,14 @@ def run_scale_bench(factors=None, repeats: int = 1) -> dict:
                         f"repeat diverged on {key} at factor "
                         f"{best['factor']}: {best[key]} != {fresh[key]}"
                     )
-            for kind, evps in fresh["events_per_sec"].items():
-                if evps > best["events_per_sec"][kind]:
-                    best["events_per_sec"][kind] = evps
-                    best["wall_s"][kind] = fresh["wall_s"][kind]
+            if fresh["events_per_sec"] > best["events_per_sec"]:
+                best["events_per_sec"] = fresh["events_per_sec"]
+                best["wall_s"] = fresh["wall_s"]
         if len(report["points"]) >= 2:
             small, large = report["points"][0], report["points"][-1]
-            report["largest_vs_smallest_evps"] = {
-                kind: large["events_per_sec"][kind]
-                / small["events_per_sec"][kind]
-                for kind in large["events_per_sec"]
-            }
-            report["within_2x"] = all(
-                ratio >= 0.5
-                for ratio in report["largest_vs_smallest_evps"].values()
-            )
+            ratio = large["events_per_sec"] / small["events_per_sec"]
+            report["largest_vs_smallest_evps"] = ratio
+            report["within_2x"] = ratio >= 0.5
     for point in report["points"]:
         golden = BASELINE["points"].get(str(point["factor"]))
         if golden is not None:

@@ -370,7 +370,6 @@ def _cmd_bench(args) -> int:
             scale=args.scale,
             repeats=args.repeats,
             figures=not args.no_figures,
-            backend=args.backend,
         )
     elif args.which == "throughput":
         from .perf import throughput_suite
@@ -567,11 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="best-of repeats per probe (default 3)")
     bench.add_argument("--no-figures", action="store_true",
                        help="perf: skip the end-to-end figure sweeps")
-    bench.add_argument("--backend", choices=["interp", "closures"],
-                       default="interp",
-                       help="perf: MCL backend for the headline vm "
-                            "probe and figure walls (the backends "
-                            "section always compares both)")
     bench.add_argument("--out", default=None,
                        help="write the JSON blob here instead of stdout")
     bench.set_defaults(func=_cmd_bench)

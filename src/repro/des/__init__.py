@@ -11,20 +11,7 @@ Public surface:
 * :class:`RngRegistry` — deterministic named RNG streams.
 """
 
-from .core import (
-    MCL_BACKENDS,
-    SCHEDULER_KINDS,
-    AllOf,
-    AnyOf,
-    CalendarQueue,
-    Event,
-    Simulator,
-    Timeout,
-    mcl_backend_default,
-    scheduler_default,
-    set_default_mcl_backend,
-    set_default_scheduler,
-)
+from .core import AllOf, AnyOf, Event, Simulator, Timeout
 from .errors import (
     EventAlreadyTriggered,
     Interrupt,
@@ -41,14 +28,7 @@ from .rng import RngRegistry
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
     "Event",
-    "MCL_BACKENDS",
-    "SCHEDULER_KINDS",
-    "mcl_backend_default",
-    "scheduler_default",
-    "set_default_mcl_backend",
-    "set_default_scheduler",
     "EventAlreadyTriggered",
     "FilterStore",
     "Hold",

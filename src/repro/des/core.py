@@ -30,33 +30,18 @@ Hot-path notes (the ``repro.perf`` fast path):
 
 None of this changes scheduling order: the queue still orders on
 ``(time, priority, eid, daemon)`` with a monotonically increasing integer
-``eid``, so optimised runs replay the exact event sequence of the slow
-kernel — the golden-hash tests in ``tests/test_perf_determinism.py`` pin
-that bit-identity.
+``eid``, so optimised runs replay the exact event sequence of the
+unoptimised kernel — the golden-hash tests in
+``tests/test_perf_determinism.py`` pin that bit-identity.
 
-Scheduler kinds (the ``repro.perf.scale`` pass):
-
-* ``"heap"`` (the default) keeps the single binary heap: O(log n)
-  enqueue/dequeue, unbeatable constants at paper scale;
-* ``"calendar"`` swaps in a :class:`CalendarQueue` — a Brown-style
-  calendar of buckets, each bucket itself a tiny heap, with an adaptive
-  bucket width.  Enqueue and dequeue are O(1) amortized when event
-  times are spread across buckets, and degrade gracefully to plain
-  heap behaviour (everything in one bucket) instead of going quadratic
-  when they are not.  Pops come out in *exactly* the heap's
-  ``(time, priority, eid, daemon)`` order, so traces are bit-identical
-  under either scheduler (proven in ``tests/test_perf_determinism.py``).
-
-Pick a kind per simulator (``Simulator(scheduler="calendar")``), or flip
-the process-wide default with :func:`set_default_scheduler` /
-``with scheduler_default("calendar"): ...``.
+The queue is one binary heap (``heapq``) and every schedule site pushes
+onto ``sim._queue`` directly.  Queued objects are plain allocations:
+nothing is recycled, so holding on to a fired event is always safe.
 """
 
 from __future__ import annotations
 
 import heapq
-from contextlib import contextmanager
-from sys import getrefcount as _getrefcount
 from typing import Any, Callable, Iterable, Optional
 
 from .errors import (
@@ -72,10 +57,6 @@ __all__ = [
     "AnyOf",
     "AllOf",
     "Simulator",
-    "CalendarQueue",
-    "SCHEDULER_KINDS",
-    "set_default_scheduler",
-    "scheduler_default",
     "PENDING",
     "URGENT",
     "NORMAL",
@@ -101,232 +82,6 @@ _new_event = object.__new__
 #: Fire-and-forget timeouts (netsim busy-waits, app delays) thus never
 #: allocate a callback list at all.
 _NO_WAITERS: list = []
-
-#: Valid values for ``Simulator(scheduler=...)``.
-SCHEDULER_KINDS = ("heap", "calendar")
-
-#: Process-wide default scheduler kind for new simulators.
-_DEFAULT_SCHEDULER = "heap"
-
-
-def set_default_scheduler(kind: str) -> str:
-    """Set the scheduler kind new :class:`Simulator`\\ s use by default.
-
-    Returns the previous default so callers can restore it.  Existing
-    simulators are unaffected — the kind is fixed at construction.
-    """
-    global _DEFAULT_SCHEDULER
-    if kind not in SCHEDULER_KINDS:
-        raise ValueError(
-            f"unknown scheduler {kind!r}; expected one of {SCHEDULER_KINDS}"
-        )
-    previous = _DEFAULT_SCHEDULER
-    _DEFAULT_SCHEDULER = kind
-    return previous
-
-
-@contextmanager
-def scheduler_default(kind: str):
-    """Context manager: temporarily change the default scheduler kind."""
-    previous = set_default_scheduler(kind)
-    try:
-        yield
-    finally:
-        set_default_scheduler(previous)
-
-
-#: Valid values for ``Simulator(mcl_backend=...)``: the int-opcode
-#: interpreter (the differential-test oracle) or the basic-block
-#: closures compiler (:mod:`repro.messengers.mcl.closures`, the
-#: default).  Both produce bit-identical Command streams and
-#: instruction counts; only host wall clock differs.
-MCL_BACKENDS = ("interp", "closures")
-
-#: Process-wide default MCL backend for new simulators.
-_DEFAULT_MCL_BACKEND = "closures"
-
-
-def set_default_mcl_backend(kind: str) -> str:
-    """Set the MCL backend new :class:`Simulator`\\ s use by default.
-
-    Returns the previous default so callers can restore it.  Existing
-    simulators are unaffected — the kind is fixed at construction.
-    """
-    global _DEFAULT_MCL_BACKEND
-    if kind not in MCL_BACKENDS:
-        raise ValueError(
-            f"unknown MCL backend {kind!r}; expected one of {MCL_BACKENDS}"
-        )
-    previous = _DEFAULT_MCL_BACKEND
-    _DEFAULT_MCL_BACKEND = kind
-    return previous
-
-
-@contextmanager
-def mcl_backend_default(kind: str):
-    """Context manager: temporarily change the default MCL backend."""
-    previous = set_default_mcl_backend(kind)
-    try:
-        yield
-    finally:
-        set_default_mcl_backend(previous)
-
-
-class CalendarQueue:
-    """Calendar (bucket) event queue with heap-identical pop order.
-
-    A ring of ``nbuckets`` buckets; an entry with time ``t`` lives in
-    bucket ``int(t * inv_width) & mask``.  Each bucket is itself a small
-    binary heap, so:
-
-    * enqueue is O(1) amortized — one multiply, one mask, one heappush
-      into a bucket of O(1) expected occupancy (the queue doubles its
-      bucket count whenever occupancy exceeds 2 and re-estimates the
-      bucket width from the observed inter-event gaps);
-    * dequeue scans forward from the current virtual bucket ``_cur_v``
-      and pops the head of the first bucket whose head belongs to the
-      bucket under the cursor — O(1) amortized for the dense case, with
-      an always-correct O(nbuckets) min-over-heads fallback for sparse
-      regions (time jumps much larger than ``nbuckets * width``);
-    * when every event carries the *same* time (a burst), all entries
-      share one bucket and the structure degrades to exactly a binary
-      heap — never worse than the heap scheduler by more than a
-      constant, unlike the classic sorted-list calendar queue which
-      goes quadratic.
-
-    Pop order is *exactly* the heap's tuple order: within a bucket the
-    heap yields the tuple-min, and across buckets the virtual bucket
-    number ``int(t * inv_width)`` is monotone in ``t`` (multiplication
-    by a positive constant and ``int()`` truncation are both monotone),
-    so an entry in an earlier eligible bucket always has a strictly
-    smaller time.  Same-time entries necessarily share a bucket.  The
-    cursor invariant — ``_cur_v <=`` every queued entry's virtual
-    bucket — is maintained by stepping the cursor back on enqueues of
-    earlier times, which the kernel only produces for times ``>= now``.
-    """
-
-    __slots__ = (
-        "_buckets", "_nbuckets", "_mask", "_inv_width", "_size", "_cur_v"
-    )
-
-    #: Bucket-count bounds.  The cap bounds the fallback scan and the
-    #: resize cost; past it buckets simply get deeper (still heaps).
-    MIN_BUCKETS = 8
-    MAX_BUCKETS = 1 << 16
-    #: Pop scans at most this many buckets before the min-over-heads
-    #: fallback — bounds the cost of a cursor stranded far behind a
-    #: sparse time jump.
-    MAX_SCAN = 128
-
-    def __init__(self, width: float = 1e-5):
-        if width <= 0.0:
-            raise ValueError(f"bucket width must be positive, got {width}")
-        nb = self.MIN_BUCKETS
-        self._buckets: list[list] = [[] for _ in range(nb)]
-        self._nbuckets = nb
-        self._mask = nb - 1
-        self._inv_width = 1.0 / width
-        self._size = 0
-        self._cur_v = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push(self, entry) -> None:
-        """Insert ``entry`` (a ``(time, prio, eid, daemon, event)`` tuple)."""
-        v = int(entry[0] * self._inv_width)
-        _heappush(self._buckets[v & self._mask], entry)
-        if v < self._cur_v or not self._size:
-            self._cur_v = v
-        size = self._size + 1
-        self._size = size
-        if size > (self._nbuckets << 1) and self._nbuckets < self.MAX_BUCKETS:
-            self._grow()
-
-    def pop(self):
-        """Remove and return the least entry (heap tuple order)."""
-        size = self._size
-        if not size:
-            raise IndexError("pop from an empty calendar queue")
-        self._size = size - 1
-        buckets = self._buckets
-        mask = self._mask
-        inv = self._inv_width
-        v = self._cur_v
-        for _ in range(self._nbuckets if self._nbuckets < self.MAX_SCAN
-                       else self.MAX_SCAN):
-            bucket = buckets[v & mask]
-            if bucket and int(bucket[0][0] * inv) <= v:
-                self._cur_v = v
-                return _heappop(bucket)
-            v += 1
-        # Sparse region: jump the cursor straight to the earliest head.
-        # Each bucket is a heap, so the min over heads is the global min
-        # regardless of cursor state — this path is unconditionally
-        # correct, just O(nbuckets).
-        best = None
-        for bucket in buckets:
-            if bucket and (best is None or bucket[0] < best[0]):
-                best = bucket
-        self._cur_v = int(best[0][0] * inv)
-        return _heappop(best)
-
-    def peek_time(self) -> float:
-        """Time of the least entry, or ``inf`` when empty (O(nbuckets))."""
-        if not self._size:
-            return float("inf")
-        best = None
-        for bucket in self._buckets:
-            if bucket and (best is None or bucket[0] < best):
-                best = bucket[0]
-        return best[0]
-
-    def _grow(self) -> None:
-        """Double the bucket count and re-estimate the bucket width."""
-        entries = []
-        extend = entries.extend
-        for bucket in self._buckets:
-            extend(bucket)
-        # Estimate width as 3x the median inter-event gap of a sorted
-        # sample: robust against the one far-future heartbeat that would
-        # wreck a (max - min) / n estimate.  Deterministic (stride
-        # sample, no RNG) so replays resize identically.
-        stride = len(entries) // 256 or 1
-        times = sorted(entry[0] for entry in entries[::stride])
-        gaps = sorted(b - a for a, b in zip(times, times[1:]) if b > a)
-        if gaps:
-            width = 3.0 * gaps[len(gaps) // 2]
-            if width < 1e-12:
-                width = 1e-12
-            self._inv_width = 1.0 / width
-        nb = self._nbuckets << 1
-        self._nbuckets = nb
-        mask = nb - 1
-        self._mask = mask
-        buckets = [[] for _ in range(nb)]
-        self._buckets = buckets
-        inv = self._inv_width
-        cur = None
-        for entry in entries:
-            v = int(entry[0] * inv)
-            _heappush(buckets[v & mask], entry)
-            if cur is None or v < cur:
-                cur = v
-        if cur is not None:
-            self._cur_v = cur
-
-    def __repr__(self) -> str:
-        return (
-            f"<CalendarQueue size={self._size} buckets={self._nbuckets} "
-            f"width={1.0 / self._inv_width:g}>"
-        )
-
-
-# Plain-function handles: ``sim._push(sim._queue, entry)`` works for both
-# scheduler kinds without a per-call bound-method allocation.
-_cal_push = CalendarQueue.push
-_cal_pop = CalendarQueue.pop
-
 
 class Event:
     """A one-shot occurrence on the simulation timeline.
@@ -402,7 +157,7 @@ class Event:
         sim = self.sim
         eid = sim._eid
         sim._eid = eid + 1
-        sim._push(sim._queue, (sim._now, NORMAL, eid, False, self))
+        _heappush(sim._queue, (sim._now, NORMAL, eid, False, self))
         sim._fg_pending += 1
         return self
 
@@ -421,7 +176,7 @@ class Event:
         sim = self.sim
         eid = sim._eid
         sim._eid = eid + 1
-        sim._push(sim._queue, (sim._now, NORMAL, eid, False, self))
+        _heappush(sim._queue, (sim._now, NORMAL, eid, False, self))
         sim._fg_pending += 1
         return self
 
@@ -482,7 +237,7 @@ class Timeout(Event):
         self.daemon = daemon
         eid = sim._eid
         sim._eid = eid + 1
-        sim._push(sim._queue, (sim._now + delay, NORMAL, eid, daemon, self))
+        _heappush(sim._queue, (sim._now + delay, NORMAL, eid, daemon, self))
         if not daemon:
             sim._fg_pending += 1
 
@@ -599,48 +354,11 @@ class Simulator:
         sim.run()
     """
 
-    def __init__(
-        self,
-        scheduler: Optional[str] = None,
-        mcl_backend: Optional[str] = None,
-    ):
-        kind = _DEFAULT_SCHEDULER if scheduler is None else scheduler
-        if kind not in SCHEDULER_KINDS:
-            raise ValueError(
-                f"unknown scheduler {kind!r}; expected one of "
-                f"{SCHEDULER_KINDS}"
-            )
-        #: Scheduler kind ("heap" or "calendar"), fixed at construction.
-        self.scheduler = kind
-        backend = (
-            _DEFAULT_MCL_BACKEND if mcl_backend is None else mcl_backend
-        )
-        if backend not in MCL_BACKENDS:
-            raise ValueError(
-                f"unknown MCL backend {backend!r}; expected one of "
-                f"{MCL_BACKENDS}"
-            )
-        #: MCL execution backend ("interp" or "closures"), fixed at
-        #: construction; daemons resolve their VM entry point from it.
-        self.mcl_backend = backend
+    def __init__(self):
         self._now: float = 0.0
-        # ``_push(queue, entry)`` / ``_pop(queue)`` are plain functions
-        # resolved once here, so every schedule site pays one attribute
-        # load instead of a per-call isinstance test.  Both schedulers
-        # pop in identical ``(time, prio, eid, daemon)`` order.
-        if kind == "heap":
-            self._queue: Any = []
-            self._push = _heappush
-            self._pop = _heappop
-        else:
-            self._queue = CalendarQueue()
-            self._push = _cal_push
-            self._pop = _cal_pop
-        #: Free-list of recycled Timeout objects.  The uninstrumented
-        #: run loop returns a just-fired timeout here when it can prove
-        #: (via refcount) that nobody else holds it; :meth:`timeout`
-        #: then reinitialises it in place of a fresh allocation.
-        self._timeout_pool: list = []
+        #: The event queue: a binary heap of ``(time, priority, eid,
+        #: daemon, event)`` entries, pushed with ``heapq.heappush``.
+        self._queue: list = []
         #: Monotone tie-break for same-(time, priority) events; plain int
         #: increments are ~3× faster than an itertools.count round-trip.
         self._eid: int = 0
@@ -720,16 +438,11 @@ class Simulator:
         the simulation alive (see :class:`Timeout`).
         """
         # Hottest allocation site in the kernel: build the Timeout here
-        # without a second __init__ frame (mirrors Timeout.__init__),
-        # reusing a recycled object from the free-list when one exists.
+        # without a second __init__ frame (mirrors Timeout.__init__).
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        pool = self._timeout_pool
-        if pool:
-            timeout = pool.pop()
-        else:
-            timeout = _new_event(Timeout)
-            timeout.sim = self
+        timeout = _new_event(Timeout)
+        timeout.sim = self
         timeout.callbacks = _NO_WAITERS
         timeout._value = value
         timeout._ok = True
@@ -737,7 +450,7 @@ class Simulator:
         timeout.daemon = daemon
         eid = self._eid
         self._eid = eid + 1
-        self._push(
+        _heappush(
             self._queue, (self._now + delay, NORMAL, eid, daemon, timeout)
         )
         if not daemon:
@@ -777,7 +490,7 @@ class Simulator:
         """
         eid = self._eid
         self._eid = eid + 1
-        self._push(
+        _heappush(
             self._queue, (self._now + delay, priority, eid, daemon, event)
         )
         if not daemon:
@@ -786,26 +499,19 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if queue is empty."""
         queue = self._queue
-        if not queue:
-            return float("inf")
-        if self._pop is _heappop:
-            return queue[0][0]
-        return queue.peek_time()
+        return queue[0][0] if queue else float("inf")
 
     def due_now(self) -> bool:
         """True if an event is queued for the current instant."""
-        queue, now = self._queue, self._now
-        if self._pop is not _heappop:
-            # Calendar: same-time entries share a bucket (itself a heap).
-            queue = queue._buckets[int(now * queue._inv_width) & queue._mask]
-        return bool(queue) and queue[0][0] == now
+        queue = self._queue
+        return bool(queue) and queue[0][0] == self._now
 
     def step(self) -> None:
         """Process the single next event.
 
         Raises :class:`IndexError` ("empty schedule") if nothing is queued.
         """
-        time, _prio, _eid, daemon, event = self._pop(self._queue)
+        time, _prio, _eid, daemon, event = _heappop(self._queue)
         self._now = time
         if not daemon:
             self._fg_pending -= 1
@@ -871,17 +577,14 @@ class Simulator:
                 stop_event.callbacks = [self._stop_callback]
                 eid = self._eid
                 self._eid = eid + 1
-                self._push(
+                _heappush(
                     self._queue, (deadline, URGENT, eid, False, stop_event)
                 )
                 self._fg_pending += 1
 
         queue = self._queue
-        pop = self._pop
+        pop = _heappop
         length = len
-        refcount = _getrefcount
-        pool = self._timeout_pool
-        recycle = pool.append
         # Instrumentation (metrics counter / trace hasher) is attached
         # before run() is entered; the check is hoisted out of the loop
         # and re-evaluated on every run() call, and the instrumented
@@ -919,18 +622,6 @@ class Simulator:
                                 callback(event)
                     if not event._ok and not event._defused:
                         raise event._value
-                    # Recycle fire-and-forget timeouts: refcount 2 means
-                    # the only references are this frame's local and the
-                    # getrefcount argument — no condition, process frame,
-                    # or user variable holds the object, so reusing it is
-                    # invisible.  (Timeout has no __weakref__ slot, so no
-                    # untracked reference can exist.)
-                    if (
-                        type(event) is Timeout
-                        and refcount(event) == 2
-                        and length(pool) < 4096
-                    ):
-                        recycle(event)
         except StopSimulation as stop:
             if isinstance(until, Event):
                 if until._ok:

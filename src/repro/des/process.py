@@ -15,6 +15,7 @@ per process, and the messenger layers spawn processes by the thousand.
 
 from __future__ import annotations
 
+from heapq import heappush as _heappush
 from types import GeneratorType
 from typing import Any, Optional
 
@@ -45,7 +46,7 @@ class Initialize(Event):
         # Inline of ``sim.schedule(self, priority=URGENT)``.
         eid = sim._eid
         sim._eid = eid + 1
-        sim._push(sim._queue, (sim._now, URGENT, eid, False, self))
+        _heappush(sim._queue, (sim._now, URGENT, eid, False, self))
         sim._fg_pending += 1
 
 
@@ -98,7 +99,7 @@ class Process(Event):
         init.callbacks = [resume_cb]
         eid = sim._eid
         sim._eid = eid + 1
-        sim._push(sim._queue, (sim._now, URGENT, eid, False, init))
+        _heappush(sim._queue, (sim._now, URGENT, eid, False, init))
         sim._fg_pending += 1
         self._target: Optional[Event] = init
         sim._live_processes.add(self)
@@ -185,7 +186,7 @@ class Process(Event):
                     self._value = stop.value
                     eid = sim._eid
                     sim._eid = eid + 1
-                    sim._push(
+                    _heappush(
                         sim._queue, (sim._now, NORMAL, eid, False, self)
                     )
                     sim._fg_pending += 1

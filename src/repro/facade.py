@@ -56,7 +56,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional, Union
 
-from .des import MCL_BACKENDS, SCHEDULER_KINDS, Simulator
+from .des import Simulator
 from .mailbox import MailboxConfig
 from .netsim import CostModel, DEFAULT_COSTS, Network, build_lan
 from .obs import MetricsRegistry, cost_breakdown, format_breakdown
@@ -116,20 +116,6 @@ class ClusterConfig:
         layers).  When a resilience policy is also armed, the
         ``no-request-lost`` / ``breaker-sanity`` invariants are wired
         into the suite automatically.
-    ``scheduler``
-        DES event-queue implementation: ``None`` (the process-wide
-        default, normally ``"heap"``), ``"heap"`` (binary heap) or
-        ``"calendar"`` (the O(1)-amortised calendar queue for very
-        large entity counts — see the README "Scale" section).  Both
-        drain in bit-identical order; this is purely a perf knob.
-    ``mcl_backend``
-        MCL execution backend: ``None`` (the process-wide default,
-        normally ``"closures"``), ``"closures"`` (basic-block
-        superinstructions compiled to Python closures — see the README
-        "Performance" section) or ``"interp"`` (the int-opcode
-        interpreter, kept as the differential oracle).  Both produce
-        bit-identical Command streams, trace digests and
-        interpretation accounting; this is purely a perf knob.
     """
 
     n_hosts: int = 4
@@ -143,29 +129,11 @@ class ClusterConfig:
     mailbox: Union[None, bool, MailboxConfig] = None
     service: Any = None
     name_prefix: str = "host"
-    scheduler: Optional[str] = None
-    mcl_backend: Optional[str] = None
 
     def __post_init__(self):
         if self.n_hosts < 1:
             raise ValueError(
                 f"need at least one host, got {self.n_hosts}"
-            )
-        if (
-            self.scheduler is not None
-            and self.scheduler not in SCHEDULER_KINDS
-        ):
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r} (choose from "
-                f"{', '.join(SCHEDULER_KINDS)})"
-            )
-        if (
-            self.mcl_backend is not None
-            and self.mcl_backend not in MCL_BACKENDS
-        ):
-            raise ValueError(
-                f"unknown MCL backend {self.mcl_backend!r} (choose from "
-                f"{', '.join(MCL_BACKENDS)})"
             )
         if (
             isinstance(self.topology, str)
@@ -230,9 +198,7 @@ class Cluster:
             config = replace(config, n_hosts=n_hosts)
         self.config = config
 
-        self.sim = Simulator(
-            scheduler=config.scheduler, mcl_backend=config.mcl_backend
-        )
+        self.sim = Simulator()
         self.costs = (
             config.costs if config.costs is not None else DEFAULT_COSTS
         )
@@ -727,11 +693,6 @@ class Experiment:
 
     def name_prefix(self, prefix: str) -> "Experiment":
         self._config = replace(self._config, name_prefix=prefix)
-        return self
-
-    def mcl_backend(self, kind: str) -> "Experiment":
-        """Select the MCL execution backend (``"interp"``/``"closures"``)."""
-        self._config = replace(self._config, mcl_backend=kind)
         return self
 
     # -- terminal steps ------------------------------------------------------

@@ -35,12 +35,17 @@ from .mcl.bytecode import (
     HopCommand,
     SchedCommand,
 )
-from .mcl.closures import run as closures_run
-from .mcl.vm import run as vm_run
+from .mcl import closures
 from .messenger import Messenger
 from .natives import NativeEnv
 
 __all__ = ["Daemon", "DaemonStats"]
+
+#: The MCL entry point every new :class:`Daemon` runs slices through,
+#: read once per daemon.  Tests swap in :func:`repro.messengers.mcl.vm.run`
+#: (the reference interpreter, same signature and Command contract) to
+#: prove the two bit-identical.
+VM_RUN = closures.run
 
 
 @dataclass
@@ -70,13 +75,7 @@ class Daemon:
         self.system = system
         self.host = host
         self.sim = system.sim
-        #: VM entry point, resolved once from the simulator's backend
-        #: knob; both backends share signature and Command contract.
-        self._vm_run = (
-            closures_run
-            if getattr(self.sim, "mcl_backend", "interp") == "closures"
-            else vm_run
-        )
+        self._vm_run = VM_RUN
         self.ready: Store = Store(self.sim)
         self.stats = DaemonStats()
         #: Set by the system's crash listener while this daemon's host is
@@ -109,16 +108,8 @@ class Daemon:
         """Receive Messengers (and create requests) from other daemons."""
         port = self.host.port(self.port_name)
         costs = self.system.costs
-        recycle = self.system.network.recycle
-        spent = None
         while True:
             packet = yield port.get()
-            if spent is not None:
-                # By the time a further arrival lands nothing else
-                # refers to the previous packet (recycle() checks), so
-                # the object can go back to the free-list.
-                recycle(spent)
-            spent = packet
             kind, data = packet.payload
             metrics = self.sim.obs
             if self.retired:
@@ -223,7 +214,7 @@ class Daemon:
         if self.sim.obs is not None:
             self.sim.obs.count("messengers.forwarded")
         self.system.trace(messenger, "forward", self.name, f"-> {target}")
-        self.system.network.post(self.system.network.packet(
+        self.system.network.post(Packet(
             src=self.name,
             dst=target,
             port=self.port_name,
@@ -421,7 +412,7 @@ class Daemon:
                     replica, "hop", self.name,
                     f"-> {node.daemon} ({state}B)",
                 )
-                packet = self.system.network.packet(
+                packet = Packet(
                     src=self.name,
                     dst=node.daemon,
                     port=self.port_name,
@@ -509,7 +500,7 @@ class Daemon:
                 copy_cost += state * costs.msgr_state_local_per_byte_s
                 self.enqueue_ready(replica)
             else:
-                packet = self.system.network.packet(
+                packet = Packet(
                     src=self.name,
                     dst=daemon_name,
                     port=self.port_name,

@@ -4,20 +4,19 @@ The C-subset scripting language Messengers are written in (§2.1 of the
 paper): lexer → parser → bytecode compiler → stack-VM interpreter, plus
 the command objects through which the VM talks to its daemon.
 
-Two interchangeable execution backends share the bytecode:
+Two execution backends share the bytecode:
 
-* :mod:`.vm` (default, ``mcl_backend="interp"``) — the reference
-  integer-opcode interpreter with per-instruction cost charging.
-* :mod:`.closures` (``mcl_backend="closures"``) — a basic-block
-  superinstruction compiler: each program is partitioned once at
-  hop/create/delete/sched/jump boundaries and every block is ``exec``'d
-  into a single Python closure, eliminating per-opcode dispatch.
+* :mod:`.closures` — a basic-block superinstruction compiler: each
+  program is partitioned once at hop/create/delete/sched/jump
+  boundaries and every block is ``exec``'d into a single Python
+  closure, eliminating per-opcode dispatch.  Every daemon runs it.
+* :mod:`.vm` — the integer-opcode interpreter, kept as the reference
+  implementation the closures backend is tested against.
 
-The backends are bit-identical by contract — same ``Command`` stream,
-same per-yield ``instructions`` counts, same frame state, same golden
-trace digests — so picking one is purely a wall-clock decision.  Select
-via ``Simulator(mcl_backend=...)``, ``ClusterConfig(mcl_backend=...)``,
-or process-wide with :func:`repro.des.mcl_backend_default`.
+The two are bit-identical by contract — same ``Command`` stream, same
+per-yield ``instructions`` counts, same frame state, same golden trace
+digests.  Tests swap the daemons' entry point through the one seam,
+:data:`repro.messengers.daemon.VM_RUN`.
 """
 
 from .ast import Script

@@ -208,7 +208,7 @@ class Program:
         self._dispatch: Optional[list] = None
         #: Compiled basic-block closures, built lazily by the closures
         #: backend (:mod:`repro.messengers.mcl.closures`) on first
-        #: execution under ``mcl_backend="closures"``.
+        #: execution.
         self._closures: Any = None
         for instr in self.instructions:
             if instr.op not in OPCODES:

@@ -35,12 +35,12 @@ The ``max_instructions`` runaway guard stops on the interpreter's exact
 instruction: a block the remaining budget cannot cover is handed to
 :func:`.vm.run`.
 
-This is the default backend; the interpreter stays as the differential
-oracle (``Simulator(mcl_backend="interp")`` /
-``ClusterConfig(mcl_backend="interp")``, or process-wide with
-:func:`repro.des.set_default_mcl_backend`).  When per-opcode counts are
-requested the shared reference path (:func:`.vm._run_counting`) runs
-instead, exactly as in the interpreter.
+This is the backend every daemon runs
+(:data:`repro.messengers.daemon.VM_RUN`); the interpreter stays as the
+reference implementation the differential and golden tests compare it
+against.  When per-opcode counts are requested the shared reference
+path (:func:`.vm._run_counting`) runs instead, exactly as in the
+interpreter.
 """
 
 from __future__ import annotations

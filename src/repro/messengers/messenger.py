@@ -59,22 +59,6 @@ class Messenger:
         vt: float = 0.0,
         parent_id: Optional[int] = None,
     ):
-        self.reinit(program, variables, vt, parent_id)
-
-    def reinit(
-        self,
-        program: Program,
-        variables: Optional[dict] = None,
-        vt: float = 0.0,
-        parent_id: Optional[int] = None,
-    ) -> None:
-        """(Re)initialise as a brand-new Messenger with a fresh identity.
-
-        Called by ``__init__`` and by the system's free-list when a
-        pooled object is reincarnated (``retain_finished=False`` scale
-        mode) — every slot is overwritten, so a recycled Messenger is
-        indistinguishable from a freshly allocated one.
-        """
         self.id = next(_mids)
         self.program = program
         self.frame = Frame(program)

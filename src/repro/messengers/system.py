@@ -10,7 +10,6 @@ outside (the command shell) at runtime", §1).
 from __future__ import annotations
 
 import itertools
-from sys import getrefcount as _getrefcount
 from typing import Any, Optional, Sequence, Union
 
 from ..des import SimulationError, Simulator
@@ -99,11 +98,9 @@ class MessengersSystem:
         #: Keep finished Messengers in :attr:`messengers` /
         #: :attr:`finished` for forensics (the default).  Scale
         #: workloads with millions of short-lived Messengers set this
-        #: False: a finished Messenger is dropped from the tables and
-        #: its object parked on a free-list for the next injection, so
-        #: memory stays proportional to the *live* population.
+        #: False: a finished Messenger is not archived, so memory stays
+        #: proportional to the *live* population.
         self.retain_finished = True
-        self._messenger_pool: list[Messenger] = []
         self.log_lines: list[str] = []
         #: Script/native errors caught by daemons (the daemons survive;
         #: :meth:`run_to_quiescence` re-raises the first one).
@@ -229,8 +226,8 @@ class MessengersSystem:
             )
         start_node = candidates[0]
 
-        messenger = self._obtain_messenger(
-            program, dict(zip(program.params, args)), vt
+        messenger = Messenger(
+            program, dict(zip(program.params, args)), vt=vt
         )
         messenger.node = start_node
         self.messengers[messenger.id] = messenger
@@ -304,24 +301,6 @@ class MessengersSystem:
         if self.active_count == 0:
             self.vtime.on_quiescent()
 
-    def _obtain_messenger(
-        self, program: Program, variables: dict, vt: float
-    ) -> Messenger:
-        """A fresh Messenger, reincarnated from the free-list if possible.
-
-        A pooled object is reused only when its refcount proves the pool
-        holds the sole reference — a daemon or test still holding a
-        finished Messenger keeps it alive, and that object is simply
-        dropped from the pool instead of being reused under them.
-        """
-        pool = self._messenger_pool
-        while pool:
-            messenger = pool.pop()
-            if _getrefcount(messenger) == 2:  # this frame + the argument
-                messenger.reinit(program, variables, vt)
-                return messenger
-        return Messenger(program, variables, vt=vt)
-
     def register_replica(self, replica: Messenger) -> None:
         """Admit a clone produced by hop replication / create(ALL)."""
         self.messengers[replica.id] = replica
@@ -335,8 +314,6 @@ class MessengersSystem:
             self.finished.append((messenger, "lost" if lost else "done"))
         else:
             self.messengers.pop(messenger.id, None)
-            if len(self._messenger_pool) < 4096:
-                self._messenger_pool.append(messenger)
         metrics = self.sim.obs
         if metrics is not None:
             metrics.count(

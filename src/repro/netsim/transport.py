@@ -11,7 +11,6 @@ not here — the wire treats everyone equally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from sys import getrefcount as _getrefcount
 from typing import Any, Optional
 
 from ..des import Simulator
@@ -105,9 +104,6 @@ class Network:
         self._inflight: dict[tuple, int] = {}
         #: Counter of sends refused by flow control (for reporting).
         self.overloads = 0
-        #: Free-list of spent :class:`Packet` objects (see :meth:`packet`
-        #: / :meth:`recycle`).
-        self._packet_pool: list[Packet] = []
 
     # -- topology ---------------------------------------------------------
 
@@ -480,59 +476,6 @@ class Network:
 
     def __len__(self) -> int:
         return len(self._hosts)
-
-    # -- packet pooling ------------------------------------------------------
-
-    def packet(
-        self,
-        src: str,
-        dst: str,
-        port: str,
-        payload: Any,
-        size_bytes: int,
-        deadline_s: Optional[float] = None,
-    ) -> Packet:
-        """A fresh :class:`Packet`, reusing a recycled object if any.
-
-        Behaves exactly like the ``Packet(...)`` constructor — every
-        field is overwritten — but at scale (millions of daemon hops)
-        the free-list keeps the allocator out of the per-hop path.
-        """
-        pool = self._packet_pool
-        if pool:
-            packet = pool.pop()
-            packet.src = src
-            packet.dst = dst
-            packet.port = port
-            packet.payload = payload
-            packet.size_bytes = size_bytes
-            packet.send_time = 0.0
-            packet.seq = None
-            packet.deadline_s = deadline_s
-            return packet
-        return Packet(
-            src=src,
-            dst=dst,
-            port=port,
-            payload=payload,
-            size_bytes=size_bytes,
-            deadline_s=deadline_s,
-        )
-
-    def recycle(self, packet: Packet) -> None:
-        """Return a spent packet to the free-list — if provably safe.
-
-        The packet is pooled only when the caller's local plus this
-        argument are the *only* live references (refcount check): a
-        retransmitter, a pending delivery copy, or a crash listener
-        still holding the object keeps it out of the pool.  ``Packet``
-        uses ``slots=True`` with no ``__weakref__``, so no untracked
-        reference can exist.  Callers must drop their own reference
-        right after this returns.
-        """
-        if _getrefcount(packet) == 2 and len(self._packet_pool) < 4096:
-            packet.payload = None  # release the payload immediately
-            self._packet_pool.append(packet)
 
     # -- delivery ------------------------------------------------------------
 

@@ -4,7 +4,7 @@ Two jobs, both in service of the fast path through the simulation stack:
 
 * **Proof of bit-identity.**  :class:`TraceHasher` folds every executed
   simulation event — ``(time, priority, eid, daemon, type)`` exactly as
-  popped from the scheduler heap — into one digest.  Optimisations to
+  popped from the event heap — into one digest.  Optimisations to
   the DES kernel or the MCL VM must not change a single bit of any
   simulated result, and the golden-hash tests in
   ``tests/test_perf_determinism.py`` pin digests captured *before* the
@@ -20,7 +20,10 @@ Two jobs, both in service of the fast path through the simulation stack:
   CI perf-smoke job.  Each returns ``{"n": ..., "wall_s": ...,
   "per_sec": ...}`` measured over the *hot* portion only (setup
   excluded), taking the best of ``repeats`` runs so scheduler noise can
-  only help.
+  only help.  The one in-process race is :func:`vm_backend_speedup`
+  (closures backend vs the reference interpreter); kernel and packet
+  path changes are measured commit against commit with
+  ``benchmark/run.py --compare`` instead of against a frozen copy.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ __all__ = [
     "TraceHasher",
     "hashing_all_simulators",
     "des_event_throughput",
-    "des_speedup_vs_reference",
     "store_throughput",
     "vm_opcode_throughput",
     "vm_backend_speedup",
@@ -95,8 +97,8 @@ def hashing_all_simulators():
     hasher = TraceHasher()
     original_init = Simulator.__init__
 
-    def patched_init(self, *args, **kwargs):
-        original_init(self, *args, **kwargs)
+    def patched_init(self):
+        original_init(self)
         self.trace_hash = hasher
 
     Simulator.__init__ = patched_init
@@ -158,93 +160,6 @@ def des_event_throughput(n: int = 200_000, repeats: int = 3) -> dict:
         return n, time.perf_counter() - start
 
     return _result(*_best_of(once, repeats))
-
-
-def _speedup_workload(sim, n: int, workload: str) -> int:
-    """Arm ``sim`` with one of the speedup workloads; return the
-    approximate number of kernel events it will execute.
-
-    Both kernels (live and frozen) expose the same ``timeout``/
-    ``process`` surface, so one workload definition serves both sides
-    of the comparison.
-    """
-    if workload == "chain":
-        def chain(sim):
-            timeout = sim.timeout
-            for _ in range(n):
-                yield timeout(1.0)
-
-        sim.process(chain(sim))
-        return n
-    if workload == "mixed":
-        # Spawn/park/complete lifecycle: each batch is one process
-        # creation (Initialize), two timeouts, the worker's completion
-        # event and the spawner's resume — the per-spawn costs the
-        # messenger layers pay by the thousand.
-        batches = n // 5
-
-        def worker(sim):
-            yield sim.timeout(1.0)
-            yield sim.timeout(1.0)
-
-        def spawner(sim):
-            for _ in range(batches):
-                yield sim.process(worker(sim))
-
-        sim.process(spawner(sim))
-        return 5 * batches
-    raise ValueError(f"unknown speedup workload {workload!r}")
-
-
-def des_speedup_vs_reference(
-    n: int = 60_000, rounds: int = 25, workload: str = "chain"
-) -> dict:
-    """Live-kernel speedup over the frozen pre-optimisation kernel.
-
-    Runs the same workload ``rounds`` times on each kernel,
-    *alternating* between them in one process, and takes the ratio of
-    the two **minimum** wall times.  Two details make this robust on
-    noisy hosts where absolute throughput drifts by 2-3x:
-
-    * alternation means both kernels sample the same machine
-      conditions, so drift cancels out of the ratio;
-    * a full ``gc.collect()`` before every timed run stops one
-      kernel's cyclic garbage from being collected inside the *other*
-      kernel's timing window.
-
-    ``workload`` is ``"chain"`` (one process, ``n`` timeouts — the pure
-    event-loop probe) or ``"mixed"`` (process spawn/park/complete
-    lifecycle).  Returns ``{"workload", "n", "rounds", "events",
-    "live_per_sec", "ref_per_sec", "speedup"}``.
-    """
-    import gc
-
-    from .slowkernel import SlowSimulator
-
-    def timed(sim_cls):
-        sim = sim_cls()
-        events = _speedup_workload(sim, n, workload)
-        gc.collect()
-        start = time.perf_counter()
-        sim.run()
-        return events, time.perf_counter() - start
-
-    best_live = best_ref = float("inf")
-    events = 0
-    for _ in range(max(1, rounds)):
-        events, ref_wall = timed(SlowSimulator)
-        best_ref = min(best_ref, ref_wall)
-        _, live_wall = timed(Simulator)
-        best_live = min(best_live, live_wall)
-    return {
-        "workload": workload,
-        "n": n,
-        "rounds": rounds,
-        "events": events,
-        "live_per_sec": events / best_live,
-        "ref_per_sec": events / best_ref,
-        "speedup": best_ref / best_live,
-    }
 
 
 def store_throughput(n: int = 50_000, repeats: int = 3) -> dict:
@@ -344,10 +259,9 @@ def vm_opcode_throughput(
 def vm_backend_speedup(n: int = 20_000, rounds: int = 15) -> dict:
     """Closures-backend speedup over the int-opcode interpreter.
 
-    Same methodology as :func:`des_speedup_vs_reference`: the two
-    backends run the identical program *alternating* in one process
-    (machine drift cancels out of the ratio), ``gc.collect()`` before
-    every timed run, ratio of the two minimum wall times.  Returns
+    The two backends run the identical program *alternating* in one
+    process (machine drift cancels out of the ratio), ``gc.collect()``
+    before every timed run, ratio of the two minimum wall times.  Returns
     ``{"n", "rounds", "instructions", "interp_per_sec",
     "closures_per_sec", "speedup"}``.
     """

@@ -3,11 +3,10 @@
 The ROADMAP scale target is blunt: simulated events/sec at **1000x the
 entity count** must stay within 2x of the smallest configuration.  That
 is only possible if nothing in the hot path is super-linear in the
-number of daemons, logical nodes, or live Messengers — which is exactly
-what the calendar-queue scheduler (O(1) amortised vs. O(log n) heap),
-the per-daemon logical-node shards (O(shard) vs. O(all nodes) scans)
-and the object free-lists (Timeout / Messenger / Packet reuse instead
-of allocator churn) buy.
+number of daemons, logical nodes, or live Messengers.  The per-daemon
+logical-node shards (O(shard) vs. O(all nodes) scans) and lazy idle
+nodes take care of the tables; the event queue is one binary heap, whose
+O(log n) push/pop holds the 1000x point within the bound by itself.
 
 One *scale point* is a ring benchmark:
 
@@ -19,8 +18,8 @@ One *scale point* is a ring benchmark:
   ``hops`` times and dying.
 
 The workload is RNG-free, so every simulated quantity (final sim time,
-event count, remote-hop count) is bit-identical across hosts, runs and
-schedulers; ``BENCH_scale.json`` commits them as golden values and the
+event count, remote-hop count) is bit-identical across hosts and runs;
+``BENCH_scale.json`` commits them as golden values and the
 CI ``scale-smoke`` job replays truncated grid points against them.
 Wall-clock events/sec is measured around the run loop only (build
 excluded) and is the quantity the 2x acceptance bound applies to.
@@ -31,7 +30,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Optional, Sequence
 
-from ..des import Simulator, scheduler_default
+from ..des import Simulator
 from ..messengers.daemon_graph import DaemonNetwork
 from ..messengers.netbuilder import build_ring
 from ..messengers.system import MessengersSystem
@@ -69,33 +68,31 @@ def run_scale_point(
     nodes: int,
     messengers: int,
     hops: int = HOPS_PER_WALKER,
-    scheduler: str = "calendar",
 ) -> dict:
     """Run one ring benchmark; returns simulated + wall-clock results.
 
     Simulated values (``sim_seconds``, ``events``, ``remote_hops``) are
     deterministic; ``wall_s``/``events_per_sec`` are host-dependent.
     """
-    with scheduler_default(scheduler):
-        sim = Simulator()
-        network = build_lan(sim, daemons)
-        system = MessengersSystem(
-            network, DaemonNetwork.ring(network.host_names)
-        )
-        # Scale mode: finished walkers are pooled, not archived.
-        system.retain_finished = False
-        ring = build_ring(system, nodes)
-        program = system.compile(WALKER_SCRIPT)
-        stride = max(1, nodes // messengers)
-        for index in range(messengers):
-            name = f"n{(index * stride) % nodes}"
-            node = ring[name]
-            system.inject(program, (hops,), daemon=node.daemon, node=name)
-        eid_before = sim._eid
-        wall_start = perf_counter()
-        sim_seconds = system.run_to_quiescence()
-        wall_s = perf_counter() - wall_start
-        events = sim._eid - eid_before
+    sim = Simulator()
+    network = build_lan(sim, daemons)
+    system = MessengersSystem(
+        network, DaemonNetwork.ring(network.host_names)
+    )
+    # Scale mode: finished walkers are not archived.
+    system.retain_finished = False
+    ring = build_ring(system, nodes)
+    program = system.compile(WALKER_SCRIPT)
+    stride = max(1, nodes // messengers)
+    for index in range(messengers):
+        name = f"n{(index * stride) % nodes}"
+        node = ring[name]
+        system.inject(program, (hops,), daemon=node.daemon, node=name)
+    eid_before = sim._eid
+    wall_start = perf_counter()
+    sim_seconds = system.run_to_quiescence()
+    wall_s = perf_counter() - wall_start
+    events = sim._eid - eid_before
     remote_hops = sum(
         d.stats.hops_out_remote for d in system.daemons.values()
     )
@@ -105,7 +102,6 @@ def run_scale_point(
         "messengers": messengers,
         "hops_per_walker": hops,
         "entities": daemons + nodes + messengers,
-        "scheduler": scheduler,
         "sim_seconds": sim_seconds,
         "events": events,
         "remote_hops": remote_hops,
@@ -116,66 +112,27 @@ def run_scale_point(
 
 def run_scale_sweep(
     grid: Optional[Sequence[dict]] = None,
-    schedulers: Sequence[str] = ("calendar", "heap"),
     hops: int = HOPS_PER_WALKER,
 ) -> dict:
-    """Run every grid point under every scheduler.
-
-    Asserts that all schedulers produce bit-identical simulated values
-    at each point (the equivalence proof, measured rather than argued),
-    then reports per-scheduler wall throughput and the headline
-    largest-vs-smallest events/sec ratio.
-    """
-    points = []
-    for spec in grid if grid is not None else SCALE_GRID:
-        runs = {
-            kind: run_scale_point(
-                spec["daemons"],
-                spec["nodes"],
-                spec["messengers"],
-                hops=hops,
-                scheduler=kind,
-            )
-            for kind in schedulers
+    """Run every grid point once; report per-point wall throughput and
+    the headline largest-vs-smallest events/sec ratio."""
+    points = [
+        {
+            "factor": spec.get("factor"),
+            **run_scale_point(
+                spec["daemons"], spec["nodes"], spec["messengers"], hops=hops
+            ),
         }
-        first = runs[schedulers[0]]
-        for kind, run in runs.items():
-            for key in ("sim_seconds", "events", "remote_hops"):
-                if run[key] != first[key]:
-                    raise AssertionError(
-                        f"scheduler {kind!r} diverged from "
-                        f"{schedulers[0]!r} on {key} at factor "
-                        f"{spec.get('factor')}: {run[key]} != {first[key]}"
-                    )
-        points.append(
-            {
-                "factor": spec.get("factor"),
-                "daemons": first["daemons"],
-                "nodes": first["nodes"],
-                "messengers": first["messengers"],
-                "hops_per_walker": first["hops_per_walker"],
-                "entities": first["entities"],
-                "sim_seconds": first["sim_seconds"],
-                "events": first["events"],
-                "remote_hops": first["remote_hops"],
-                "events_per_sec": {
-                    kind: runs[kind]["events_per_sec"] for kind in runs
-                },
-                "wall_s": {kind: runs[kind]["wall_s"] for kind in runs},
-            }
-        )
+        for spec in (grid if grid is not None else SCALE_GRID)
+    ]
     report: dict = {"suite": "scale", "points": points}
     if len(points) >= 2:
         smallest, largest = points[0], points[-1]
-        ratios = {
-            kind: (
-                largest["events_per_sec"][kind]
-                / smallest["events_per_sec"][kind]
-                if smallest["events_per_sec"][kind]
-                else 0.0
-            )
-            for kind in schedulers
-        }
-        report["largest_vs_smallest_evps"] = ratios
-        report["within_2x"] = all(r >= 0.5 for r in ratios.values())
+        ratio = (
+            largest["events_per_sec"] / smallest["events_per_sec"]
+            if smallest["events_per_sec"]
+            else 0.0
+        )
+        report["largest_vs_smallest_evps"] = ratio
+        report["within_2x"] = ratio >= 0.5
     return report

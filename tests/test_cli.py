@@ -190,9 +190,9 @@ class TestBenchOut:
         assert points[0]["events"] == blob["baseline"]["points"]["1"][
             "events"
         ]
-        # Both schedulers measured, simulated results asserted equal
-        # inside the driver.
-        assert set(points[0]["events_per_sec"]) == {"calendar", "heap"}
+        # One measured series: a single events/sec and wall time.
+        assert points[0]["events_per_sec"] > 0
+        assert points[0]["wall_s"] > 0
 
     def test_search_out_creates_parent_dirs(self, tmp_path):
         out = tmp_path / "deep" / "nested" / "report.json"

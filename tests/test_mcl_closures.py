@@ -1,20 +1,15 @@
 """Unit tests for the basic-block closures backend and its plumbing.
 
-The broad equivalence proof lives in ``test_mcl_backend_differential``
+The broad equivalence proof is the Hypothesis ``TestBackendDifferential``
 (random programs) and ``test_perf_determinism`` (golden traces); these
 are the targeted shapes — resumption, block partitioning, error parity,
-backend selection, and the bounded program cache.
+the daemons' ``VM_RUN`` seam, and the bounded program cache.
 """
 
 import pytest
 
-from repro.des import (
-    MCL_BACKENDS,
-    Simulator,
-    mcl_backend_default,
-    set_default_mcl_backend,
-)
-from repro.facade import Cluster, ClusterConfig, Experiment
+from repro.facade import Cluster, ClusterConfig
+from repro.messengers import daemon as daemon_module
 from repro.messengers.mcl import closures, vm
 from repro.messengers.mcl.bytecode import (
     DoneCommand,
@@ -167,42 +162,13 @@ class TestCompiledBlocks:
 
 
 class TestBackendSelection:
-    def test_simulator_knob_validates(self):
-        assert Simulator().mcl_backend == "closures"
-        assert Simulator(mcl_backend="interp").mcl_backend == "interp"
-        with pytest.raises(ValueError, match="unknown MCL backend"):
-            Simulator(mcl_backend="jit")
-
-    def test_process_default_round_trips(self):
-        assert set(MCL_BACKENDS) == {"interp", "closures"}
-        with mcl_backend_default("interp"):
-            assert Simulator().mcl_backend == "interp"
-        assert Simulator().mcl_backend == "closures"
-        with pytest.raises(ValueError):
-            set_default_mcl_backend("nope")
-
-    def test_cluster_config_knob(self):
-        with pytest.raises(ValueError, match="unknown MCL backend"):
-            ClusterConfig(mcl_backend="jit")
-        cluster = Cluster(
-            config=ClusterConfig(n_hosts=2, mcl_backend="closures")
-        )
-        assert cluster.sim.mcl_backend == "closures"
-        daemon = next(iter(cluster.messengers.daemons.values()))
-        assert daemon._vm_run is closures.run
-
-    def test_experiment_builder_step(self):
-        cluster = (
-            Experiment().hosts(2).mcl_backend("closures").build()
-        )
-        assert cluster.sim.mcl_backend == "closures"
-
-    def test_cluster_end_to_end_under_closures(self):
+    def test_cluster_end_to_end_under_closures(self, monkeypatch):
         results = []
-        for backend in ("interp", "closures"):
-            cluster = Cluster(
-                config=ClusterConfig(n_hosts=2, mcl_backend=backend)
-            )
+        for backend in (vm.run, closures.run):
+            monkeypatch.setattr(daemon_module, "VM_RUN", backend)
+            cluster = Cluster(config=ClusterConfig(n_hosts=2))
+            daemon = next(iter(cluster.messengers.daemons.values()))
+            assert daemon._vm_run is backend
             cluster.inject(
                 "f(n) { i = 0; acc = 0; while (i < n) "
                 "{ acc = acc + i; i = i + 1; } n_result = acc; }",

@@ -36,6 +36,8 @@ from repro.apps.matmul.kernel import make_matrices
 from repro.apps.matmul.messengers_app import run_messengers as run_matmul
 from repro.des import Simulator
 from repro.faults import FaultPlan
+from repro.messengers import daemon as daemon_module
+from repro.messengers.mcl import closures, vm
 from repro.obs import MetricsRegistry, cost_breakdown
 from repro.perf import hashing_all_simulators
 
@@ -336,151 +338,91 @@ class TestSweepPoolIdentity:
             )
 
 
-class TestSchedulerGoldenEquivalence:
-    """The calendar queue reproduces the heapq goldens bit-for-bit.
-
-    The CalendarQueue (``Simulator(scheduler="calendar")``) claims the
-    exact ``(time, priority, eid, daemon)`` drain order of the heap it
-    replaces at scale.  Proof on real workloads: the pre-optimisation
-    golden digests above — fig-5 Mandelbrot (both systems), fig-12b
-    matmul, and the 5%-loss fault plan — are reproduced unchanged with
-    the calendar scheduler switched on process-wide.
-    """
-
-    def test_calendar_reproduces_fig5_goldens(self):
-        from repro.des import scheduler_default
-
-        with scheduler_default("calendar"):
-            _check(
-                "mandelbrot_messengers",
-                lambda: run_messengers(GRID, PROCS),
-                lambda r: r.image.tobytes(),
-            )
-            _check(
-                "mandelbrot_pvm",
-                lambda: run_pvm(GRID, PROCS),
-                lambda r: r.image.tobytes(),
-            )
-
-    def test_calendar_reproduces_lossy_goldens(self):
-        from repro.des import scheduler_default
-
-        with scheduler_default("calendar"):
-            _check(
-                "mandelbrot_messengers_lossy",
-                lambda: run_messengers(
-                    GRID, PROCS, faults=FaultPlan().drop(0.05), seed=7
-                ),
-                lambda r: r.image.tobytes(),
-            )
-            _check(
-                "mandelbrot_pvm_lossy",
-                lambda: run_pvm(
-                    GRID, PROCS, faults=FaultPlan().drop(0.05), seed=7
-                ),
-                lambda r: r.image.tobytes(),
-            )
-
-    def test_calendar_matches_heap_on_fig12b(self):
-        from repro.des import scheduler_default
-
-        a, b = make_matrices(60, seed=0)
-
-        def run_with(kind):
-            with scheduler_default(kind):
-                with hashing_all_simulators() as hasher:
-                    result = run_matmul(a, b, 3)
-                return hasher.hexdigest(), hasher.events, result.c.tobytes()
-
-        assert run_with("heap") == run_with("calendar")
+_VM_RUNS = {"interp": vm.run, "closures": closures.run}
 
 
-def _check_fig5_goldens_under(backend):
-    from repro.des import mcl_backend_default
-
-    with mcl_backend_default(backend):
-        _check(
-            "mandelbrot_messengers",
-            lambda: run_messengers(GRID, PROCS),
-            lambda r: r.image.tobytes(),
-        )
-        _check(
-            "mandelbrot_pvm",
-            lambda: run_pvm(GRID, PROCS),
-            lambda r: r.image.tobytes(),
-        )
+def _use_backend(monkeypatch, kind):
+    """Point every daemon built from here on at one MCL backend."""
+    monkeypatch.setattr(daemon_module, "VM_RUN", _VM_RUNS[kind])
 
 
-def _check_lossy_golden_under(backend):
-    from repro.des import mcl_backend_default
+def _check_fig5_goldens_under(monkeypatch, backend):
+    _use_backend(monkeypatch, backend)
+    _check(
+        "mandelbrot_messengers",
+        lambda: run_messengers(GRID, PROCS),
+        lambda r: r.image.tobytes(),
+    )
+    _check(
+        "mandelbrot_pvm",
+        lambda: run_pvm(GRID, PROCS),
+        lambda r: r.image.tobytes(),
+    )
 
-    with mcl_backend_default(backend):
-        _check(
-            "mandelbrot_messengers_lossy",
-            lambda: run_messengers(
-                GRID, PROCS, faults=FaultPlan().drop(0.05), seed=7
-            ),
-            lambda r: r.image.tobytes(),
-        )
+
+def _check_lossy_golden_under(monkeypatch, backend):
+    _use_backend(monkeypatch, backend)
+    _check(
+        "mandelbrot_messengers_lossy",
+        lambda: run_messengers(
+            GRID, PROCS, faults=FaultPlan().drop(0.05), seed=7
+        ),
+        lambda r: r.image.tobytes(),
+    )
 
 
 class TestInterpBackendGoldenEquivalence:
-    """The non-default backend is the one that needs proving: the
-    interpreter (``Simulator(mcl_backend="interp")``, the differential
-    oracle) reproduces the goldens that ``TestGoldenTraces`` pins under
-    the default closures backend — fig-5 Mandelbrot (both systems) and
-    the 5%-loss fault plan; fig-12b and the obs ledger are compared
-    backend against backend in the class below.
+    """The reference interpreter, swapped in through the daemons'
+    ``VM_RUN`` seam, reproduces the goldens that ``TestGoldenTraces``
+    pins under the shipped closures backend — fig-5 Mandelbrot (both
+    systems) and the 5%-loss fault plan; fig-12b and the obs ledger are
+    compared backend against backend in the class below.
     """
 
-    def test_interp_reproduces_fig5_goldens(self):
-        _check_fig5_goldens_under("interp")
+    def test_interp_reproduces_fig5_goldens(self, monkeypatch):
+        _check_fig5_goldens_under(monkeypatch, "interp")
 
-    def test_interp_reproduces_lossy_golden(self):
-        _check_lossy_golden_under("interp")
+    def test_interp_reproduces_lossy_golden(self, monkeypatch):
+        _check_lossy_golden_under(monkeypatch, "interp")
 
 
 class TestClosuresBackendGoldenEquivalence:
     """The closures backend reproduces the interpreter goldens bit-for-bit.
 
-    The basic-block superinstruction compiler
-    (``Simulator(mcl_backend="closures")``) claims the interpreter's
+    The basic-block superinstruction compiler claims the interpreter's
     exact Command stream and instruction accounting.  Proof on real
     workloads: the golden digests above — fig-5 Mandelbrot (both
     systems), fig-12b matmul, and the 5%-loss fault plan — are
-    reproduced unchanged with the closures backend named explicitly,
-    whatever the process-wide default is.
+    reproduced unchanged with the closures backend set explicitly
+    through the ``VM_RUN`` seam, and match the interpreter's.
     """
 
-    def test_closures_reproduces_fig5_goldens(self):
-        _check_fig5_goldens_under("closures")
+    def test_closures_reproduces_fig5_goldens(self, monkeypatch):
+        _check_fig5_goldens_under(monkeypatch, "closures")
 
-    def test_closures_reproduces_lossy_golden(self):
-        _check_lossy_golden_under("closures")
+    def test_closures_reproduces_lossy_golden(self, monkeypatch):
+        _check_lossy_golden_under(monkeypatch, "closures")
 
-    def test_closures_matches_interp_on_fig12b(self):
-        from repro.des import mcl_backend_default
-
+    def test_closures_matches_interp_on_fig12b(self, monkeypatch):
         a, b = make_matrices(60, seed=0)
 
         def run_with(kind):
-            with mcl_backend_default(kind):
-                with hashing_all_simulators() as hasher:
-                    result = run_matmul(a, b, 3)
-                return hasher.hexdigest(), hasher.events, result.c.tobytes()
+            _use_backend(monkeypatch, kind)
+            with hashing_all_simulators() as hasher:
+                result = run_matmul(a, b, 3)
+            return hasher.hexdigest(), hasher.events, result.c.tobytes()
 
         assert run_with("interp") == run_with("closures")
 
-    def test_closures_ledger_accounting_identity(self):
+    def test_closures_ledger_accounting_identity(self, monkeypatch):
         """The obs ledger — including the "interpretation" category the
         paper's figures score on — is identical under both backends."""
-        from repro.des import mcl_backend_default
         from repro.obs import MetricsRegistry
 
         def snapshot(kind):
-            with mcl_backend_default(kind):
-                registry = MetricsRegistry()
-                result = run_messengers(GRID, PROCS, metrics=registry)
+            _use_backend(monkeypatch, kind)
+            registry = MetricsRegistry()
+            result = run_messengers(GRID, PROCS, metrics=registry)
             snap = registry.snapshot()
             return result.seconds, result.image.tobytes(), snap
 

@@ -187,89 +187,3 @@ class TestResourceProperties:
             sim.process(job(sim, hold))
         sim.run()
         assert sim.now >= sum(holds) - 1e-9
-
-
-class TestSchedulerEquivalenceProperties:
-    """The calendar queue and the binary heap are the same scheduler.
-
-    The equivalence claim the golden-digest tests pin on real workloads,
-    stated as a property: for *any* interleaving of pushes and pops of
-    valid queue entries, :class:`~repro.des.CalendarQueue` drains in
-    exactly the order ``heapq`` does (full-tuple order — time, then
-    priority, then event id).  Pushes are allowed at any time, including
-    behind the calendar cursor (an earlier-time entry pushed after later
-    ones were popped from the same region must still come out first).
-    """
-
-    entry_times = st.one_of(
-        st.floats(min_value=0, max_value=1e6, allow_nan=False),
-        # Degenerate widths: bursts of identical and near-identical
-        # times collapse into one bucket; huge outliers stretch the
-        # width estimate.
-        st.sampled_from([0.0, 1.0, 1.0, 1.0 + 1e-12, 1e-9, 1e6]),
-    )
-
-    @given(
-        batches=st.lists(
-            st.tuples(
-                st.lists(entry_times, min_size=0, max_size=40),
-                st.integers(min_value=0, max_value=40),
-            ),
-            min_size=1, max_size=8,
-        ),
-        priorities=st.data(),
-    )
-    @settings(deadline=None, max_examples=200)
-    def test_calendar_drains_in_heap_order(self, batches, priorities):
-        import heapq
-
-        from repro.des import CalendarQueue
-
-        calendar = CalendarQueue()
-        heap: list = []
-        popped_cal: list = []
-        popped_heap: list = []
-        eid = 0
-        for times, n_pops in batches:
-            for t in times:
-                prio = priorities.draw(
-                    st.integers(min_value=0, max_value=1)
-                )
-                entry = (t, prio, eid, eid % 4, None)
-                eid += 1
-                calendar.push(entry)
-                heapq.heappush(heap, entry)
-            for _ in range(min(n_pops, len(heap))):
-                popped_cal.append(calendar.pop())
-                popped_heap.append(heapq.heappop(heap))
-        while heap:
-            popped_cal.append(calendar.pop())
-            popped_heap.append(heapq.heappop(heap))
-        assert popped_cal == popped_heap
-        assert len(calendar) == 0
-
-    @given(
-        delays=st.lists(
-            st.floats(min_value=0, max_value=100, allow_nan=False),
-            min_size=1, max_size=30,
-        ),
-    )
-    @settings(deadline=None)
-    def test_whole_simulations_agree(self, delays):
-        from repro.des import scheduler_default
-
-        def trace(kind):
-            with scheduler_default(kind):
-                sim = Simulator()
-                fired = []
-
-                def proc(sim, delay, tag):
-                    yield sim.timeout(delay)
-                    fired.append((sim.now, tag))
-
-                for tag, delay in enumerate(delays):
-                    sim.process(proc(sim, delay, tag))
-                sim.run()
-                return fired, sim.now
-
-        assert trace("heap") == trace("calendar")
