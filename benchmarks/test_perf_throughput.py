@@ -5,8 +5,10 @@ job runs this file with plain pytest):
 
 * the absolute throughput suite (events/sec, opcodes/sec, packets/sec)
   with generous sanity floors;
-* the closures-backend leg: the MCL basic-block closures compiler
-  raced against the int-opcode interpreter back-to-back in one process
+* the closures-backend leg: the MCL closures compiler (one generated
+  function per program; the raced program's hop-free loop runs as a
+  structured ``while`` over Python locals) raced against the
+  int-opcode interpreter back-to-back in one process
   (floor + a 25% ratio-regression guard against the committed
   ``BENCH_perf.json``).  Its bit-identity gate lives in
   ``tests/test_perf_determinism.py`` and runs in the same CI job.

@@ -6,10 +6,13 @@ the command objects through which the VM talks to its daemon.
 
 Two execution backends share the bytecode:
 
-* :mod:`.closures` — a basic-block superinstruction compiler: each
-  program is partitioned once at hop/create/delete/sched/jump
-  boundaries and every block is ``exec``'d into a single Python
-  closure, eliminating per-opcode dispatch.  Every daemon runs it.
+* :mod:`.closures` — compiles each program once into **one** Python
+  function: basic blocks (split at hop/create/delete/sched/jump
+  boundaries) fused into superinstructions, stitched together as
+  structured ``if``/``else`` and ``while True:`` loops, with an
+  ``index`` dispatch left only at resumption points.  Hop-free loops
+  without native calls or network-variable reads keep their
+  variables in Python locals.  Every daemon runs it.
 * :mod:`.vm` — the integer-opcode interpreter, kept as the reference
   implementation the closures backend is tested against.
 

@@ -206,8 +206,8 @@ class Program:
         #: Precomputed ``(int_opcode, arg)`` dispatch table, built lazily
         #: by the VM on first execution (the VM owns the opcode mapping).
         self._dispatch: Optional[list] = None
-        #: Compiled basic-block closures, built lazily by the closures
-        #: backend (:mod:`repro.messengers.mcl.closures`) on first
+        #: The generated function of the closures backend
+        #: (:mod:`repro.messengers.mcl.closures`), built lazily on first
         #: execution.
         self._closures: Any = None
         for instr in self.instructions:

@@ -230,8 +230,9 @@ def vm_opcode_throughput(
     """Opcodes/sec through the MCL VM, no simulator involved.
 
     ``backend`` selects the int-opcode interpreter (``"interp"``) or the
-    basic-block closures compiler (``"closures"``); both execute the
-    same bytecode and return identical instruction counts.
+    closures compiler (``"closures"``: one generated function per
+    program, hop-free loops as structured Python over locals); both
+    execute the same bytecode and return identical instruction counts.
     """
     from ..messengers.mcl.compiler import compile_source
     from ..messengers.mcl.vm import Frame

@@ -598,7 +598,9 @@ class TestFacadeWiring:
             .crash("host1", at=0.001)
             .restart("host1", at=0.002)
         )
-        c = repro.cluster(2, faults=plan, seed=5)
+        c = repro.cluster(
+            config=repro.ClusterConfig(n_hosts=2, faults=plan, seed=5)
+        )
         c.run()
         assert c.fault_stats["host_crashes"] == 1
         assert c.injector is not None

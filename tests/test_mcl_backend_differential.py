@@ -2,8 +2,11 @@
 
 Hypothesis generates random small MCL programs — arithmetic, variable
 traffic, short-circuit logic, arrays, native calls, network variables,
-hops, scheds, creates, bounded loops — and runs each under both VM
-backends from identical starting state.  The two executions must
+hops, scheds, creates, bounded ``while``/``for`` loops nested up to
+three deep with ``break``/``continue``, reads of a never-assigned name
+and names first bound inside a loop — and runs each under both VM
+backends from identical starting state, with ``max_instructions``
+drawn so that slices also end mid-loop.  The two executions must
 produce the identical Command stream (types, fields, per-yield
 ``instructions`` counts), identical final messenger/node variables, and
 identical ``frame.pc``/``frame.stack``.  Scripts that fail must fail
@@ -94,15 +97,37 @@ def expressions(draw, depth=0):
     return f"arr[({inner}) % 5]"
 
 
+#: Deepest loop nesting the generator produces (one counter per level).
+LOOP_DEPTH = 3
+
+#: The ``max_instructions`` budgets runs draw from: the small ones end
+#: slices mid-loop, through the hand-off to the interpreter and the
+#: runaway guard.
+BUDGETS = (3, 17, 40, 100, 100_000)
+
+
 @st.composite
-def statements(draw, depth=0):
-    if depth >= 2:
+def loop_body(draw, depth, loops):
+    return " ".join(
+        draw(st.lists(
+            statements(depth=depth, loops=loops), min_size=1, max_size=2
+        ))
+    )
+
+
+@st.composite
+def statements(draw, depth=0, loops=0):
+    """One statement; ``loops`` counts the loops around it."""
+    if depth >= LOOP_DEPTH:
         choices = ("assign",)
     else:
         choices = (
             "assign", "assign", "augmented", "if", "if_else",
-            "while", "hop", "sched", "create", "call", "index_assign",
+            "while", "for", "hop", "sched", "create", "call",
+            "index_assign",
         )
+    if loops:
+        choices += ("break", "continue", "unbound", "fresh")
     kind = draw(st.sampled_from(choices))
     if kind == "assign":
         var = draw(st.sampled_from(VAR_POOL))
@@ -111,21 +136,37 @@ def statements(draw, depth=0):
         var = draw(st.sampled_from(VAR_POOL))
         return f"{var} = {var} + {draw(expressions())};"
     if kind == "if":
-        body = draw(statements(depth=depth + 1))
+        body = draw(statements(depth=depth + 1, loops=loops))
         return f"if ({draw(expressions())}) {{ {body} }}"
     if kind == "if_else":
-        then = draw(statements(depth=depth + 1))
-        other = draw(statements(depth=depth + 1))
+        then = draw(statements(depth=depth + 1, loops=loops))
+        other = draw(statements(depth=depth + 1, loops=loops))
         cond = draw(expressions())
         return f"if ({cond}) {{ {then} }} else {{ {other} }}"
-    if kind == "while":
-        # Bounded counting loop over a dedicated counter variable so
-        # generated programs always terminate.
+    if kind in ("while", "for"):
+        # Bounded counting loops, one counter per nesting level, so
+        # generated programs always terminate.  A while loop bumps its
+        # counter first, so ``continue`` cannot spin.
         bound = draw(st.integers(min_value=1, max_value=4))
-        body = draw(statements(depth=depth + 1))
+        counter = f"k{loops}"
+        body = draw(loop_body(depth + 1, loops + 1))
+        if kind == "while":
+            return (
+                f"{counter} = 0; while ({counter} < {bound}) "
+                f"{{ {counter} = {counter} + 1; {body} }}"
+            )
         return (
-            f"k = 0; while (k < {bound}) {{ {body} k = k + 1; }}"
+            f"for ({counter} = 0; {counter} < {bound}; "
+            f"{counter} = {counter} + 1) {{ {body} }}"
         )
+    if kind in ("break", "continue"):
+        return f"if ({draw(expressions())}) {{ {kind}; }}"
+    if kind == "unbound":
+        # ``zz`` is never assigned: reading it fails, at the read.
+        return f"if ({draw(expressions())}) {{ a = a + zz; }}"
+    if kind == "fresh":
+        # ``t`` is first bound inside a loop body.
+        return f"t = {draw(expressions())}; b = b + t;"
     if kind == "hop":
         if draw(st.booleans()):
             return 'hop(ll = "ring");'
@@ -153,9 +194,10 @@ def programs(draw):
         f"{name} = {draw(st.integers(min_value=0, max_value=20))};"
         for name in VAR_POOL
     )
+    counters = " ".join(f"k{level} = 0;" for level in range(LOOP_DEPTH))
     return (
         "p()\n{\n"
-        f"    {inits} k = 0; arr = mklist();\n"
+        f"    {inits} {counters} arr = mklist();\n"
         f"    {body}\n"
         "    return a + b + c;\n"
         "}\n"
@@ -165,7 +207,7 @@ def programs(draw):
 # -- differential harness ----------------------------------------------------
 
 
-def execute(backend, source):
+def execute(backend, source, budget=100_000):
     """Run ``source`` to completion; return every observable output.
 
     Commands are flattened to (type-name, field-tuple); hops/scheds/
@@ -183,6 +225,7 @@ def execute(backend, source):
     nvars: dict = {}
     commands = []
     error = None
+    exceeded = False
 
     def netvar(name):
         return NET_VALUES.get(name, 0)
@@ -194,7 +237,7 @@ def execute(backend, source):
         for _ in range(500):
             command = vm_run_result = backend(
                 frame, mvars, nvars, netvar, call_native,
-                max_instructions=100_000,
+                max_instructions=budget,
             )
             commands.append(
                 (type(command).__name__, dataclasses.astuple(command))
@@ -203,9 +246,12 @@ def execute(backend, source):
                 break
     except Exception as exc:  # noqa: BLE001 - class identity is the point
         error = type(exc).__name__
+        # The runaway guard, as opposed to a failed operation.
+        exceeded = "exceeded" in str(exc)
     return {
         "commands": commands,
         "error": error,
+        "exceeded": exceeded,
         "mvars": mvars,
         "nvars": nvars,
         "pc": frame.pc,
@@ -213,21 +259,33 @@ def execute(backend, source):
     }
 
 
+def assert_same(reference, compiled, source):
+    assert compiled["commands"] == reference["commands"], source
+    assert compiled["error"] == reference["error"], source
+    assert compiled["mvars"] == reference["mvars"], source
+    assert compiled["nvars"] == reference["nvars"], source
+    assert compiled["exceeded"] == reference["exceeded"], source
+    if reference["error"] is None or reference["exceeded"]:
+        # Failed operations leave pc/stack unspecified (documented); on
+        # clean runs and at the runaway guard the frame state is
+        # bit-identical.
+        assert compiled["pc"] == reference["pc"], source
+        assert compiled["stack"] == reference["stack"], source
+
+
 class TestBackendDifferential:
-    @given(source=programs())
-    @settings(max_examples=150, deadline=None)
-    def test_closures_matches_interp(self, source):
-        reference = execute(vm.run, source)
-        compiled = execute(closures.run, source)
-        assert compiled["commands"] == reference["commands"], source
-        assert compiled["error"] == reference["error"], source
-        assert compiled["mvars"] == reference["mvars"], source
-        assert compiled["nvars"] == reference["nvars"], source
-        if reference["error"] is None:
-            # Error paths leave pc/stack unspecified (documented); on
-            # clean runs the frame state is bit-identical.
-            assert compiled["pc"] == reference["pc"], source
-            assert compiled["stack"] == reference["stack"], source
+    @given(
+        source=programs(),
+        # Half the runs unbounded, so most programs also run to the end.
+        budget=st.one_of(st.just(100_000), st.sampled_from(BUDGETS)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_closures_matches_interp(self, source, budget):
+        assert_same(
+            execute(vm.run, source, budget),
+            execute(closures.run, source, budget),
+            source,
+        )
 
     def test_runaway_guard_stops_on_the_same_instruction(self):
         """The shrunk Hypothesis find: an endless loop cut off by
@@ -248,26 +306,42 @@ class TestBackendDifferential:
         assert compiled["stack"] == reference["stack"]
 
     def test_known_tricky_shapes(self):
-        """Deterministic regression shapes (no Hypothesis shrinking)."""
+        """Deterministic regression shapes (no Hypothesis shrinking):
+        ``(source, max_instructions, the interpreter's error)``."""
+        unbound_in_loop = (
+            "p() {{ a = 0; b = 0; k0 = 0; while (k0 < 4) {{ k0 = k0 + 1; "
+            "b = b + k0; if (k0 > {cut}) {{ a = zz; }} a = a + 1; }} "
+            "return a + b; }}"
+        )
         shapes = [
             # Short-circuit value carried across a basic-block boundary.
-            "p() { a = 1; b = 0; c = (a && (b || 3)) + 2; return c; }",
+            ("p() { a = 1; b = 0; c = (a && (b || 3)) + 2; return c; }",
+             100_000, None),
             # Value on the stack across a hop is impossible (statement
             # boundary), but a sched mid-expression chain is not.
-            'p() { a = 2; M_sched_time_dlt(a); a = a + 1; return a; }',
+            ('p() { a = 2; M_sched_time_dlt(a); a = a + 1; return a; }',
+             100_000, None),
             # AssignExpr ordering: the store must land before the read.
-            "p() { a = (b = 3) + b; return a; }",
+            ("p() { a = (b = 3) + b; return a; }", 100_000, None),
             # Deferred loads flushed before an index store mutates.
-            "p() { arr = mklist(); a = arr[0]; arr[0] = 9; "
-            "b = a + arr[0]; return b; }",
+            ("p() { arr = mklist(); a = arr[0]; arr[0] = 9; "
+             "b = a + arr[0]; return b; }", 100_000, None),
             # Fused comparison feeding a JF at a block end.
-            "p() { a = 5; if (a * 2 > 9) { a = 1; } else { a = 0; } "
-            "return a; }",
+            ("p() { a = 5; if (a * 2 > 9) { a = 1; } else { a = 0; } "
+             "return a; }", 100_000, None),
+            # A name unbound at loop entry, read only on a branch never
+            # taken: no error.
+            (unbound_in_loop.format(cut=9), 100_000, None),
+            # ... read on the third pass: the error, after two passes'
+            # stores.
+            (unbound_in_loop.format(cut=2), 100_000, "MclRuntimeError"),
+            # Every name bound at entry (the locals path); the budget
+            # ends inside the third pass.
+            ("p() { a = 0; b = 0; k0 = 0; while (k0 < 4) { "
+             "k0 = k0 + 1; b = b + k0; a = a + 1; } return a + b; }",
+             40, "MclRuntimeError"),
         ]
-        for source in shapes:
-            reference = execute(vm.run, source)
-            compiled = execute(closures.run, source)
-            assert compiled == {**reference, "pc": compiled["pc"],
-                                "stack": compiled["stack"]}, source
-            assert compiled["pc"] == reference["pc"], source
-            assert compiled["stack"] == reference["stack"], source
+        for source, budget, error in shapes:
+            reference = execute(vm.run, source, budget)
+            assert reference["error"] == error, source
+            assert_same(reference, execute(closures.run, source, budget), source)

@@ -1,9 +1,10 @@
-"""Unit tests for the basic-block closures backend and its plumbing.
+"""Unit tests for the closures backend and its plumbing.
 
 The broad equivalence proof is the Hypothesis ``TestBackendDifferential``
 (random programs) and ``test_perf_determinism`` (golden traces); these
-are the targeted shapes — resumption, block partitioning, error parity,
-the daemons' ``VM_RUN`` seam, and the bounded program cache.
+are the targeted shapes — resumption, block partitioning, structured
+loops and the locals rule, error parity, the daemons' ``VM_RUN`` seam,
+and the bounded program cache.
 """
 
 import pytest
@@ -16,7 +17,7 @@ from repro.messengers.mcl.bytecode import (
     HopCommand,
     SchedCommand,
 )
-from repro.messengers.mcl.closures import compile_blocks
+from repro.messengers.mcl.closures import compile_program
 from repro.messengers.mcl.compiler import LruCache, compile_source
 from repro.messengers.mcl.vm import Frame, MclRuntimeError
 
@@ -31,12 +32,45 @@ def _run(frame, mvars, nvars=None, netvals=None, natives=None):
     )
 
 
+#: The benchmark's cruncher shape: a hop-free arithmetic loop nested in
+#: a loop that hops.
+CRUNCHER = """
+cruncher(id, n, rounds, a, b) {
+    acc = 0;
+    for (r = 0; r < rounds; r++) {
+        i = 0;
+        while (i < n) {
+            acc = acc + i * a - (i % b);
+            if (acc > 1000000) { acc = acc - 1000000; }
+            i = i + 1;
+        }
+        hop(ll = "ring"; ldir = +);
+    }
+    report(id, acc);
+}
+"""
+
+
+def _inner_loop_source(source):
+    """The generated locals-form ``while True:`` body (the second
+    ``while True:`` in the source, up to its ``finally:``)."""
+    lines = source.splitlines()
+    start = [
+        i for i, line in enumerate(lines) if line.strip() == "while True:"
+    ][1]
+    end = next(
+        i for i in range(start, len(lines))
+        if lines[i].strip() == "finally:"
+    )
+    return "\n".join(lines[start:end])
+
+
 class TestCompiledBlocks:
     def test_blocks_cached_on_program(self):
         program = compile_source("f() { x = 1; }", "f")
         program._closures = None
-        first = compile_blocks(program)
-        assert compile_blocks(program) is first
+        first = compile_program(program)
+        assert compile_program(program) is first
 
     def test_partition_splits_at_yields_and_jumps(self):
         program = compile_source(
@@ -44,13 +78,64 @@ class TestCompiledBlocks:
             "f",
         )
         program._closures = None
-        compiled = compile_blocks(program)
+        compiled = compile_program(program)
         # Loop head, body after the hop, and exit are distinct blocks.
-        assert len(compiled.blocks) >= 4
+        assert len(compiled.counts) >= 4
         # Static per-block counts cover the whole program exactly once.
-        assert sum(count for _, count in compiled.blocks) == len(
-            program.instructions
+        assert sum(compiled.counts) == len(program.instructions)
+        # Entry, the block after the hop and the hopping loop's header
+        # are the resumption points; nothing else is dispatched on.
+        resumable = [pc for pc in compiled.resume_pc if pc >= 0]
+        assert 0 in resumable and len(resumable) == 3
+
+    def test_hop_free_loop_is_structured_over_locals(self):
+        program = compile_source(CRUNCHER, "cruncher")
+        program._closures = None
+        compiled = compile_program(program)
+        assert sum(compiled.counts) == len(program.instructions)
+        body = _inner_loop_source(compiled.source)
+        assert "index ==" not in body
+        assert "M['i']" not in body and "M['acc']" not in body
+        assert "v_i < v_n" in body
+        # The dict form of the same loop remains for unbound names.
+        assert "M['i'] < M['n']" in compiled.source
+
+    def test_loop_with_native_call_keeps_dict_access(self):
+        program = compile_source(
+            "f(n) { i = 0; while (i < n) { i = twice(i) + 1; } return i; }",
+            "f",
         )
+        program._closures = None
+        compiled = compile_program(program)
+        assert "v_i" not in compiled.source
+        command = _run(
+            Frame(program), {"n": 20}, natives={"twice": lambda x: 2 * x}
+        )
+        assert command.value == 31
+
+    def test_locals_written_back_on_return(self):
+        source = (
+            "f(n) { i = 0; s = 0; while (1) { s = s + i; i = i + 1; "
+            "if (i == n) { return s; } } }"
+        )
+        program = compile_source(source, "f")
+        program._closures = None
+        mvars = {"n": 5}
+        assert _run(Frame(program), mvars).value == 10
+        assert mvars == {"n": 5, "i": 5, "s": 10}
+
+    def test_deep_nesting_compiles(self):
+        # Deeper than Python's static block limit once every loop is a
+        # while + try: the compiler falls back to one case per block.
+        depth = 24
+        source = "f() { s = 0; "
+        for level in range(depth):
+            k = f"k{level}"
+            source += f"{k} = 0; while ({k} < 1) {{ {k} = {k} + 1; "
+        source += "s = s + 1; " + "}" * depth + " return s; }"
+        program = compile_source(source, "f")
+        program._closures = None
+        assert _run(Frame(program), {}).value == 1
 
     def test_resumes_at_block_after_sched(self):
         program = compile_source(

@@ -446,7 +446,10 @@ class TestFacadeIntegration:
         import repro
 
         c = repro.cluster(
-            2, resilience=repro.ResiliencePolicy(detector="heartbeat")
+            config=repro.ClusterConfig(
+                n_hosts=2,
+                resilience=repro.ResiliencePolicy(detector="heartbeat"),
+            )
         )
         assert c.resilience is not None
         assert c.resilience_stats["detector"] == "heartbeat"
