@@ -11,9 +11,7 @@ Pass ``-i`` for a real interactive prompt afterwards.
 
 import sys
 
-from repro.des import Simulator
-from repro.netsim import build_lan
-from repro.messengers import MessengersSystem, Shell
+import repro
 
 SESSION = """
 help
@@ -35,9 +33,8 @@ gvt
 
 
 def main() -> None:
-    sim = Simulator()
-    system = MessengersSystem(build_lan(sim, 3))
-    shell = Shell(system)
+    c = repro.cluster(3)
+    shell = c.shell()
 
     for line in SESSION.strip().splitlines():
         print(f"messengers[{shell.current_daemon}]> {line}")
@@ -46,7 +43,7 @@ def main() -> None:
             print(output)
         print()
 
-    for line in system.log_lines:
+    for line in c.messengers.log_lines:
         print("log:", line)
 
     if "-i" in sys.argv:  # pragma: no cover - interactive

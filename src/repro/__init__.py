@@ -49,7 +49,9 @@ Subpackages
     Cross-cutting observability: metrics, the virtual-time cost
     ledger, Chrome-trace/JSONL exporters.
 
-The facade (this package's top level) is the quickest way in::
+The top level holds the facade and the configuration types it takes;
+everything else is imported from its subpackage (``repro.des.Simulator``,
+``repro.netsim.build_lan``, ``repro.mp.PackBuffer``, ...)::
 
     import repro
 
@@ -61,117 +63,26 @@ See README.md for a tour, DESIGN.md for the system inventory, and
 EXPERIMENTS.md for paper-versus-measured results.
 """
 
-from .des import Simulator
-from .facade import (
-    Cluster,
-    ClusterConfig,
-    Experiment,
-    ExperimentResult,
-    cluster,
-)
-from .faults import (
-    FaultEvent,
-    FaultInjector,
-    FaultPlan,
-    FaultPlanError,
-    RetransmitPolicy,
-)
-from .mailbox import (
-    Mail,
-    Mailbox,
-    MailboxConfig,
-    MailboxService,
-    NoDoubleRead,
-    NoLiveDaemonError,
-    NoLostMail,
-)
-from .messengers import (
-    DaemonNetwork,
-    MessengersSystem,
-    NativeRegistry,
-    Shell,
-    Tracer,
-)
-from .mp import MessagePassingSystem, PackBuffer, UnpackBuffer
-from .netsim import (
-    CacheModel,
-    CostModel,
-    DEFAULT_COSTS,
-    Network,
-    build_lan,
-    sparc5_costs,
-)
-from .obs import (
-    CATEGORIES,
-    MetricsRegistry,
-    cost_breakdown,
-    dump_chrome_trace,
-    format_breakdown,
-    to_chrome_trace,
-    to_jsonl,
-)
-from .replication import ReplicationConfig, ReplicationService
-from .resilience import (
-    InvariantViolation,
-    ResiliencePolicy,
-    ResilienceSuite,
-    RestartPolicy,
-    ScheduleSearcher,
-    WorkLedger,
-)
-from .service import ServiceConfig, ServiceWorkload
+from .facade import Cluster, ClusterConfig, cluster
+from .faults import FaultPlan
+from .mailbox import MailboxConfig
+from .obs import MetricsRegistry, cost_breakdown
+from .replication import ReplicationConfig
+from .resilience import ResiliencePolicy
+from .service import ServiceConfig
 
 __version__ = "1.6.0"
 
 __all__ = [
-    "CATEGORIES",
-    "CacheModel",
     "Cluster",
     "ClusterConfig",
-    "CostModel",
-    "DEFAULT_COSTS",
-    "DaemonNetwork",
-    "Experiment",
-    "ExperimentResult",
-    "FaultEvent",
-    "FaultInjector",
     "FaultPlan",
-    "FaultPlanError",
-    "InvariantViolation",
-    "Mail",
-    "Mailbox",
     "MailboxConfig",
-    "MailboxService",
-    "MessagePassingSystem",
-    "MessengersSystem",
     "MetricsRegistry",
-    "NativeRegistry",
-    "Network",
-    "NoDoubleRead",
-    "NoLiveDaemonError",
-    "NoLostMail",
-    "PackBuffer",
     "ReplicationConfig",
-    "ReplicationService",
     "ResiliencePolicy",
-    "ResilienceSuite",
-    "RestartPolicy",
-    "RetransmitPolicy",
-    "ScheduleSearcher",
     "ServiceConfig",
-    "ServiceWorkload",
-    "Shell",
-    "Simulator",
-    "Tracer",
-    "UnpackBuffer",
-    "WorkLedger",
     "__version__",
-    "build_lan",
     "cluster",
     "cost_breakdown",
-    "dump_chrome_trace",
-    "format_breakdown",
-    "sparc5_costs",
-    "to_chrome_trace",
-    "to_jsonl",
 ]

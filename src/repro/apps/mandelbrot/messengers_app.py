@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ...des import Simulator
-from ...messengers import MessengersSystem
-from ...netsim import CostModel, DEFAULT_COSTS, build_lan
+from ...facade import Cluster, ClusterConfig
+from ...netsim import CostModel, DEFAULT_COSTS
 from .kernel import TaskGrid, block_flops, compute_block
 
 __all__ = ["MessengersMandelbrotResult", "MANAGER_WORKER_SCRIPT", "run_messengers"]
@@ -78,22 +77,16 @@ def run_messengers(
     """
     if n_workers < 1:
         raise ValueError("need at least one worker")
-    sim = Simulator()
-    if metrics is not None:
-        sim.metrics = metrics
     # host0 carries the central node; one worker daemon per processor.
-    network = build_lan(sim, n_workers + 1, costs)
-    system = MessengersSystem(network)
-    injector = None
-    if faults is not None:
-        from ...faults import FaultInjector
-
-        injector = FaultInjector(network, faults, seed=seed)
-    suite = None
-    if resilience is not None:
-        from ...resilience import ResilienceSuite
-
-        suite = ResilienceSuite(network, resilience, seed=seed)
+    cluster = Cluster(config=ClusterConfig(
+        n_hosts=n_workers + 1,
+        costs=costs,
+        metrics=metrics if metrics is not None else False,
+        faults=faults,
+        seed=seed,
+        resilience=resilience,
+    ))
+    system = cluster.messengers
 
     results: dict[int, np.ndarray] = {}
     central = system.daemon("host0").init_node
@@ -131,11 +124,11 @@ def run_messengers(
 
     local, remote = system.total_hops()
     stats = {}
-    if injector is not None:
-        stats["faults"] = dict(injector.counts)
-    if suite is not None:
-        suite.check_final()
-        stats["resilience"] = suite.stats()
+    if cluster.injector is not None:
+        stats["faults"] = cluster.fault_stats
+    if cluster.resilience is not None:
+        cluster.resilience.check_final()
+        stats["resilience"] = cluster.resilience_stats
     return MessengersMandelbrotResult(
         image=grid.assemble(results),
         seconds=elapsed,

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ...des import Simulator
-from ...mp import ANY, MessagePassingSystem, PackBuffer
-from ...netsim import CostModel, DEFAULT_COSTS, build_lan
+from ...facade import Cluster, ClusterConfig
+from ...mp import ANY, PackBuffer
+from ...netsim import CostModel, DEFAULT_COSTS
 from .kernel import TaskGrid, block_flops, compute_block
 
 __all__ = ["PvmMandelbrotResult", "run_pvm"]
@@ -153,36 +153,30 @@ def run_pvm(
     """
     if n_workers < 1:
         raise ValueError("need at least one worker")
-    sim = Simulator()
-    if metrics is not None:
-        sim.metrics = metrics
-    network = build_lan(sim, n_workers + 1, costs)  # host0 = manager
-    system = MessagePassingSystem(network)
-    injector = None
-    if faults is not None:
-        from ...faults import FaultInjector
-
-        injector = FaultInjector(network, faults, seed=seed)
-    suite = None
-    if resilience is not None:
-        from ...resilience import ResilienceSuite
-
-        suite = ResilienceSuite(network, resilience, seed=seed)
+    cluster = Cluster(config=ClusterConfig(
+        n_hosts=n_workers + 1,  # host0 = manager
+        costs=costs,
+        metrics=metrics if metrics is not None else False,
+        faults=faults,
+        seed=seed,
+        resilience=resilience,
+    ))
+    system = cluster.mp
     results: dict[int, np.ndarray] = {}
     manager_tid = system.spawn(_manager, grid, n_workers, results)
     system.run_until_task(manager_tid)
-    elapsed = sim.now
-    sim.run()  # let worker-kill interrupts settle
+    elapsed = cluster.now
+    cluster.run()  # let worker-kill interrupts settle
     stats = {}
-    if injector is not None:
-        stats["faults"] = dict(injector.counts)
-    if suite is not None:
-        suite.check_final()
-        stats["resilience"] = suite.stats()
+    if cluster.injector is not None:
+        stats["faults"] = cluster.fault_stats
+    if cluster.resilience is not None:
+        cluster.resilience.check_final()
+        stats["resilience"] = cluster.resilience_stats
     return PvmMandelbrotResult(
         image=grid.assemble(results),
         seconds=elapsed,
         n_workers=n_workers,
-        messages=network.delivered,
+        messages=cluster.network.delivered,
         stats=stats,
     )

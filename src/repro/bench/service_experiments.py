@@ -371,12 +371,8 @@ def run_degradation_search(
     lost, a breaker walked an illegal edge, or the simulation itself
     broke.  The committed baseline expects ``clean``.
     """
-    from .. import (
-        Cluster,
-        ClusterConfig,
-        ResiliencePolicy,
-        ScheduleSearcher,
-    )
+    from .. import Cluster, ClusterConfig, ResiliencePolicy
+    from ..resilience import ScheduleSearcher
     from ..service import ServiceConfig
 
     def runner(plan, run_seed):

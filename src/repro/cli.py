@@ -65,19 +65,11 @@ from dataclasses import fields
 __all__ = ["main"]
 
 
-def _build_system(n_hosts: int):
-    from .des import Simulator
-    from .messengers import MessengersSystem
-    from .netsim import build_lan
-
-    sim = Simulator()
-    return MessengersSystem(build_lan(sim, n_hosts))
-
-
 def _cmd_shell(args) -> int:
+    from .facade import Cluster
     from .messengers import Shell
 
-    system = _build_system(args.hosts)
+    system = Cluster(args.hosts).messengers
     shell = Shell(system)
     print(
         f"MESSENGERS shell — {args.hosts} daemons on one simulated "
@@ -90,13 +82,14 @@ def _cmd_shell(args) -> int:
 def _cmd_run(args) -> int:
     from pathlib import Path
 
+    from .facade import Cluster
     from .messengers import Shell
 
     path = Path(args.script)
     if not path.exists():
         print(f"error: no such script: {path}", file=sys.stderr)
         return 2
-    system = _build_system(args.hosts)
+    system = Cluster(args.hosts).messengers
     shell = Shell(system)
     command = f"inject {path} " + " ".join(args.args)
     print(shell.execute(command.strip()))

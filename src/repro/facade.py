@@ -33,27 +33,19 @@ nested for the mailbox layer)::
     )
     c = repro.cluster(config=cfg)
 
-The pre-1.3 keyword pile (``repro.cluster(4, metrics=True, ...)``)
-still works but is deprecated: the kwargs are folded into a
-``ClusterConfig`` and a :class:`DeprecationWarning` is emitted.
+A variant of a configuration is a :func:`dataclasses.replace` away
+(``replace(cfg, n_hosts=16)``), and a measured run is ordinary code on
+the cluster::
 
-:class:`Experiment` is the fluent front end for measured runs.  The
-body is an ordinary function of the cluster — use real statements, not
-an ``and``-chain (``c.inject(s) and c.run_to_quiescence()`` would
-short-circuit whenever ``inject`` returned a falsy value)::
-
-    def body(c):
-        c.inject(SCRIPT)
-        return c.run_to_quiescence()
-
-    result = repro.Experiment().hosts(8).metrics().run(body)
-    print(result.report())
+    c = repro.cluster(config=repro.ClusterConfig(n_hosts=8, metrics=True))
+    c.inject(SCRIPT)
+    c.run_to_quiescence()
+    print(c.report())
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Union
 
 from .des import Simulator
@@ -61,23 +53,10 @@ from .mailbox import MailboxConfig
 from .netsim import CostModel, DEFAULT_COSTS, Network, build_lan
 from .obs import MetricsRegistry, cost_breakdown, format_breakdown
 
-__all__ = [
-    "Cluster",
-    "ClusterConfig",
-    "Experiment",
-    "ExperimentResult",
-    "cluster",
-]
+__all__ = ["Cluster", "ClusterConfig", "cluster"]
 
 #: Daemon-graph shapes :class:`Cluster` knows how to build.
 TOPOLOGIES = ("ethernet", "complete", "ring")
-
-#: Keyword arguments the pre-ClusterConfig facade accepted directly.
-_LEGACY_KWARGS = (
-    "topology", "costs", "cpu_scale", "metrics", "faults", "seed",
-    "resilience", "name_prefix",
-)
-
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -159,40 +138,15 @@ class Cluster:
         Cluster(8)                         # 8 hosts, defaults otherwise
         Cluster(config=ClusterConfig(...)) # fully configured
 
-    An explicit ``n_hosts`` overrides ``config.n_hosts``.  The pre-1.3
-    keyword arguments (``topology=``, ``metrics=``, ``faults=``, ...)
-    are accepted as deprecation shims: they fold into the config and
-    emit a :class:`DeprecationWarning`.
+    An explicit ``n_hosts`` overrides ``config.n_hosts``.
     """
 
     def __init__(
         self,
         n_hosts: Optional[int] = None,
         config: Optional[ClusterConfig] = None,
-        **legacy: Any,
     ):
-        if legacy:
-            unknown = sorted(set(legacy) - set(_LEGACY_KWARGS))
-            if unknown:
-                raise TypeError(
-                    f"unknown Cluster arguments {unknown}; "
-                    f"ClusterConfig fields are "
-                    f"{[f.name for f in ClusterConfig.__dataclass_fields__.values()]}"
-                )
-            if config is not None:
-                raise TypeError(
-                    "pass either a ClusterConfig or legacy keyword "
-                    "arguments, not both"
-                )
-            warnings.warn(
-                "passing subsystem options as keyword arguments "
-                f"({', '.join(sorted(legacy))}) is deprecated; build a "
-                "repro.ClusterConfig and pass it as config=...",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = ClusterConfig(**legacy)
-        elif config is None:
+        if config is None:
             config = ClusterConfig()
         if n_hosts is not None:
             config = replace(config, n_hosts=n_hosts)
@@ -526,8 +480,7 @@ class Cluster:
         if self.metrics is None:
             raise RuntimeError(
                 "cluster was built without metrics; set metrics=True on "
-                "the ClusterConfig (or repro.cluster(...)) to enable "
-                "the cost ledger"
+                "its ClusterConfig to enable the cost ledger"
             )
         return cost_breakdown(self.metrics, self.sim.now, self.n_tracks)
 
@@ -556,166 +509,10 @@ class Cluster:
 def cluster(
     n_hosts: Optional[int] = None,
     config: Optional[ClusterConfig] = None,
-    **legacy: Any,
 ) -> Cluster:
     """Build the paper's platform: ``n_hosts`` workstations on one LAN.
 
     ``repro.cluster(4)`` for the defaults, ``repro.cluster(config=cfg)``
-    for a fully configured platform.  Legacy keyword arguments are
-    folded into a :class:`ClusterConfig` with a DeprecationWarning (see
-    :class:`Cluster`).
+    for a fully configured platform.
     """
-    return Cluster(n_hosts, config=config, **legacy)
-
-
-@dataclass
-class ExperimentResult:
-    """What one measured run produced."""
-
-    #: Value returned by the experiment body (if any).
-    value: Any
-    #: Simulated seconds at the end of the run.
-    elapsed_s: float
-    #: Metric snapshot (empty when metrics were off).
-    snapshot: dict = field(default_factory=dict)
-    #: Cost breakdown dict (None when metrics were off).
-    breakdown: Optional[dict] = None
-    #: The cluster, for further inspection.
-    cluster: Optional[Cluster] = None
-
-    def report(self, title: str = "virtual-time cost breakdown") -> str:
-        """ASCII cost-breakdown table (empty string if metrics were off)."""
-        if self.breakdown is None:
-            return ""
-        return format_breakdown(self.breakdown, title=title)
-
-
-class Experiment:
-    """Fluent builder for measured runs, backed by a ClusterConfig.
-
-    Every builder step returns ``self``; ``.build()`` materializes the
-    cluster and ``.run(body)`` measures one ``body(cluster)`` call.
-    Write the body as a function — statements, not an ``and``-chain::
-
-        def body(c):
-            c.inject(SCRIPT)
-            return c.run_to_quiescence()
-
-        result = (
-            repro.Experiment()
-            .hosts(8)
-            .topology("ring")
-            .metrics()
-            .run(body)
-        )
-    """
-
-    def __init__(self, config: Optional[ClusterConfig] = None):
-        self._config = config if config is not None else ClusterConfig()
-
-    # -- builder steps (each returns self) ----------------------------------
-
-    def config(self, config: ClusterConfig) -> "Experiment":
-        """Replace the accumulated configuration wholesale."""
-        self._config = config
-        return self
-
-    def hosts(self, n: int) -> "Experiment":
-        self._config = replace(self._config, n_hosts=n)
-        return self
-
-    def topology(self, shape: Any) -> "Experiment":
-        self._config = replace(self._config, topology=shape)
-        return self
-
-    def costs(self, costs: CostModel) -> "Experiment":
-        self._config = replace(self._config, costs=costs)
-        return self
-
-    def cpu_scale(self, scale: float) -> "Experiment":
-        self._config = replace(self._config, cpu_scale=scale)
-        return self
-
-    def metrics(
-        self, registry: Union[bool, MetricsRegistry] = True
-    ) -> "Experiment":
-        self._config = replace(self._config, metrics=registry)
-        return self
-
-    def faults(self, plan: Any) -> "Experiment":
-        """Attach a :class:`~repro.faults.FaultPlan` to the run."""
-        self._config = replace(self._config, faults=plan)
-        return self
-
-    def seed(self, seed: int) -> "Experiment":
-        """Root seed for the fault plan's random streams."""
-        self._config = replace(self._config, seed=seed)
-        return self
-
-    def resilience(self, policy: Any) -> "Experiment":
-        """Arm a :class:`~repro.resilience.ResiliencePolicy` on the run."""
-        self._config = replace(self._config, resilience=policy)
-        return self
-
-    def mailbox(
-        self, config: Union[bool, MailboxConfig] = True
-    ) -> "Experiment":
-        """Arm the durable mailbox layer on the run."""
-        self._config = replace(self._config, mailbox=config)
-        return self
-
-    def replication(self, config: Any = True) -> "Experiment":
-        """Replicate the mailbox layer (arming it if not configured).
-
-        Accepts a :class:`~repro.replication.ReplicationConfig` or
-        ``True`` for the defaults (factor 2, majority quorum); the
-        mailbox layer is armed implicitly when this step runs first.
-        """
-        from .replication import ReplicationConfig
-
-        if config is True:
-            config = ReplicationConfig()
-        mailbox = self._config.mailbox
-        base = (
-            mailbox
-            if isinstance(mailbox, MailboxConfig)
-            else MailboxConfig()
-        )
-        self._config = replace(
-            self._config, mailbox=replace(base, replication=config)
-        )
-        return self
-
-    def service(self, config: Any) -> "Experiment":
-        """Attach a :class:`~repro.service.ServiceConfig` to the run."""
-        self._config = replace(self._config, service=config)
-        return self
-
-    def name_prefix(self, prefix: str) -> "Experiment":
-        self._config = replace(self._config, name_prefix=prefix)
-        return self
-
-    # -- terminal steps ------------------------------------------------------
-
-    def build(self) -> Cluster:
-        """Materialize the cluster without running anything."""
-        return Cluster(config=self._config)
-
-    def run(self, body: Callable[[Cluster], Any]) -> ExperimentResult:
-        """Build the cluster, run ``body(cluster)``, collect the results.
-
-        The body drives the simulation itself (e.g. ``inject`` +
-        ``run_to_quiescence``, or spawning tasks and ``c.run()``); its
-        return value lands in ``result.value``.
-        """
-        built = self.build()
-        value = body(built)
-        return ExperimentResult(
-            value=value,
-            elapsed_s=built.sim.now,
-            snapshot=built.snapshot(),
-            breakdown=(
-                built.breakdown() if built.metrics is not None else None
-            ),
-            cluster=built,
-        )
+    return Cluster(n_hosts, config=config)

@@ -14,8 +14,8 @@ The recovery machinery lives with the layers it protects:
   messenger re-dispatch;
 * ``mp`` — ``pvm_notify``-style task-exit/host-delete notifications.
 
-Entry points: ``repro.cluster(n, faults=plan, seed=s)``,
-``Experiment().faults(plan)``, and the ``repro chaos`` CLI command.
+Entry points: ``repro.cluster(config=repro.ClusterConfig(faults=plan,
+seed=s))`` and the ``repro chaos`` CLI command.
 """
 
 from .injector import FaultInjector

@@ -133,11 +133,8 @@ class ServiceWorkload:
 
         Three independent streams — arrival instants, key choice, retry
         jitter — so perturbing one (e.g. sweeping the arrival shape)
-        never re-randomizes the others.  Each stream is consumed in the
-        same per-stream order whether requests are drawn lazily (this
-        generator, O(1) arrival state — the scale-layer form the
-        drivers use) or all at once (:meth:`generate_requests`), so the
-        two forms produce identical traces.
+        never re-randomizes the others.  Requests are drawn lazily, so
+        arrival state is O(1) however long the run.
         """
         cfg = self.config
         times = iter_arrival_times(cfg, self.rng.stream("service.arrivals"))
@@ -158,10 +155,6 @@ class ServiceWorkload:
                 # out the whole deadline.
                 timeouts = (cfg.deadline_s,)
             yield Request(rid, t, key, t + cfg.deadline_s, timeouts)
-
-    def generate_requests(self) -> list[Request]:
-        """Materialised :meth:`iter_requests` (tests and offline tools)."""
-        return list(self.iter_requests())
 
     def breaker_for(self, target: str) -> CircuitBreaker:
         breaker = self.breakers.get(target)

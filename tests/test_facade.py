@@ -1,4 +1,4 @@
-"""The one-call facade: repro.cluster(...) and repro.Experiment.
+"""The one-call facade: repro.cluster(...), Cluster and ClusterConfig.
 
 The acceptance bar from the API redesign: ``import repro;
 repro.cluster(4)`` must yield a runnable system with no other imports,
@@ -9,6 +9,8 @@ MessengersSystem) keeps working unchanged.
 import pytest
 
 import repro
+from repro.messengers import DaemonNetwork
+from repro.netsim import DEFAULT_COSTS
 
 HELLO = """
 hello() {
@@ -83,7 +85,7 @@ class TestCluster:
 
     def test_prebuilt_daemon_network(self):
         base = repro.cluster(3)
-        graph = repro.DaemonNetwork.ring(base.host_names)
+        graph = DaemonNetwork.ring(base.host_names)
         c = repro.Cluster(3, config=repro.ClusterConfig(topology=graph))
         assert c.messengers.daemon_graph is graph
 
@@ -94,7 +96,7 @@ class TestCluster:
     def test_custom_costs(self):
         from dataclasses import replace
 
-        slow = replace(repro.DEFAULT_COSTS, hop_dispatch_s=10e-3)
+        slow = replace(DEFAULT_COSTS, hop_dispatch_s=10e-3)
         fast = repro.cluster(2)
         slowc = repro.cluster(2, config=repro.ClusterConfig(costs=slow))
         _run_hello(fast)
@@ -140,33 +142,6 @@ class TestClusterMetrics:
         assert any("opcode=" in name for name in registry.snapshot())
 
 
-class TestExperiment:
-    def test_fluent_run(self):
-        result = (
-            repro.Experiment()
-            .hosts(3)
-            .topology("ring")
-            .metrics()
-            .run(_run_hello)
-        )
-        assert sorted(result.value) == ["host1", "host2"]
-        assert result.elapsed_s > 0
-        assert result.breakdown is not None
-        assert "virtual-time cost breakdown" in result.report()
-        assert result.cluster is not None
-
-    def test_without_metrics(self):
-        result = repro.Experiment().hosts(2).run(_run_hello)
-        assert result.breakdown is None
-        assert result.report() == ""
-        assert result.snapshot == {}
-
-    def test_build_only(self):
-        c = repro.Experiment().hosts(5).name_prefix("n").build()
-        assert len(c) == 5
-        assert c.host_names[0] == "n0"
-
-
 class TestClusterConfig:
     def test_defaults(self):
         config = repro.ClusterConfig()
@@ -196,6 +171,17 @@ class TestClusterConfig:
             mailbox=custom
         ).mailbox_config() is custom
 
+    def test_replace_derives_a_variant(self):
+        from dataclasses import replace
+
+        base = repro.ClusterConfig(n_hosts=2, name_prefix="n")
+        c = repro.Cluster(config=replace(
+            base, mailbox=repro.MailboxConfig(poll_interval_s=0.02)
+        ))
+        assert c.host_names == ["n0", "n1"]
+        assert c.mail.config.poll_interval_s == 0.02
+        assert base.mailbox is None
+
     def test_mailbox_armed_eagerly_from_config(self):
         c = repro.Cluster(config=repro.ClusterConfig(n_hosts=2,
                                                      mailbox=True))
@@ -204,25 +190,22 @@ class TestClusterConfig:
 
 
 class TestDeprecationShims:
-    """Pre-1.3 keyword call sites keep working, loudly."""
+    """The pre-1.3 keyword arguments are gone; passing one fails loudly."""
 
-    def test_legacy_kwargs_warn_and_fold_into_config(self):
-        with pytest.warns(DeprecationWarning, match="ClusterConfig"):
-            c = repro.cluster(3, topology="ring", name_prefix="ws")
-        assert c.config.topology == "ring"
-        assert c.host_names == ["ws0", "ws1", "ws2"]
+    def test_legacy_kwargs_are_rejected(self):
+        with pytest.raises(TypeError, match="topology"):
+            repro.cluster(3, topology="ring", name_prefix="ws")
 
-    def test_legacy_cluster_class_warns_too(self):
-        with pytest.warns(DeprecationWarning):
-            c = repro.Cluster(2, metrics=True)
-        assert c.metrics is not None
+    def test_legacy_cluster_class_kwargs_are_rejected(self):
+        with pytest.raises(TypeError, match="metrics"):
+            repro.Cluster(2, metrics=True)
 
     def test_unknown_kwarg_is_an_error(self):
-        with pytest.raises(TypeError, match="unknown Cluster arguments"):
+        with pytest.raises(TypeError, match="topologee"):
             repro.cluster(2, topologee="ring")
 
     def test_config_plus_legacy_is_an_error(self):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="topology"):
             repro.cluster(
                 2, config=repro.ClusterConfig(), topology="ring"
             )
@@ -293,72 +276,54 @@ class TestChurnFacade:
             c.add_node("peer", daemon="nonexistent")
 
 
-class TestExperimentBuilderAudit:
-    """Every builder step returns the same Experiment instance."""
-
-    def test_every_step_returns_self(self):
-        from repro.resilience import ResiliencePolicy
-
-        experiment = repro.Experiment()
-        steps = [
-            ("config", (repro.ClusterConfig(),)),
-            ("hosts", (3,)),
-            ("topology", ("ring",)),
-            ("costs", (repro.DEFAULT_COSTS,)),
-            ("cpu_scale", (2.0,)),
-            ("metrics", ()),
-            ("faults", (repro.FaultPlan(),)),
-            ("seed", (5,)),
-            ("resilience", (ResiliencePolicy(),)),
-            ("mailbox", ()),
-            ("name_prefix", ("n",)),
-        ]
-        for name, args in steps:
-            assert getattr(experiment, name)(*args) is experiment, name
-
-    def test_experiment_config_and_mailbox_steps(self):
-        c = (
-            repro.Experiment()
-            .config(repro.ClusterConfig(n_hosts=2))
-            .mailbox(repro.MailboxConfig(poll_interval_s=0.02))
-            .build()
-        )
-        assert len(c) == 2
-        assert c.mail.config.poll_interval_s == 0.02
-
-
 class TestTopLevelExports:
     def test_facade_names(self):
-        for name in (
-            "cluster", "Cluster", "ClusterConfig", "Experiment",
-            "ExperimentResult",
-        ):
+        for name in ("cluster", "Cluster", "ClusterConfig"):
             assert hasattr(repro, name)
+        for name in ("Experiment", "ExperimentResult"):
+            assert not hasattr(repro, name)
 
     def test_mailbox_names(self):
+        import repro.mailbox
+
         for name in (
             "Mail", "Mailbox", "MailboxConfig", "MailboxService",
             "NoLostMail", "NoDoubleRead",
         ):
-            assert hasattr(repro, name)
-            assert name in repro.__all__
+            assert name in repro.mailbox.__all__
 
     def test_layer_names(self):
-        for name in (
-            "Simulator", "MessengersSystem", "MessagePassingSystem",
-            "DaemonNetwork", "NativeRegistry", "Shell", "Tracer",
-            "PackBuffer", "UnpackBuffer", "Network", "build_lan",
-            "CostModel", "CacheModel", "DEFAULT_COSTS", "sparc5_costs",
+        import repro.des
+        import repro.messengers
+        import repro.mp
+        import repro.netsim
+
+        for package, names in (
+            (repro.des, ("Simulator",)),
+            (repro.messengers, (
+                "MessengersSystem", "DaemonNetwork", "NativeRegistry",
+                "Shell", "Tracer",
+            )),
+            (repro.mp, (
+                "MessagePassingSystem", "PackBuffer", "UnpackBuffer",
+            )),
+            (repro.netsim, (
+                "Network", "build_lan", "CostModel", "CacheModel",
+                "DEFAULT_COSTS", "sparc5_costs",
+            )),
         ):
-            assert hasattr(repro, name)
+            for name in names:
+                assert name in package.__all__, (package.__name__, name)
 
     def test_obs_names(self):
+        import repro.obs
+
         for name in (
             "CATEGORIES", "MetricsRegistry", "cost_breakdown",
             "format_breakdown", "to_chrome_trace", "to_jsonl",
             "dump_chrome_trace",
         ):
-            assert hasattr(repro, name)
+            assert name in repro.obs.__all__
 
     def test_all_is_sorted_and_complete(self):
         assert repro.__all__ == sorted(repro.__all__)

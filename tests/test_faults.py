@@ -611,19 +611,6 @@ class TestFacadeWiring:
         c = repro.cluster(2)
         assert c.fault_stats == {} and c.injector is None
 
-    def test_experiment_builder_threads_faults(self):
-        import repro
-
-        plan = FaultPlan().crash("host1", at=0.001)
-        result = (
-            repro.Experiment()
-            .hosts(2)
-            .faults(plan)
-            .seed(9)
-            .run(lambda c: c.run())
-        )
-        assert result.cluster.fault_stats["host_crashes"] == 1
-
 
 class TestSpawnDuringCrashWindow:
     """Regression: a crash landing inside PVM's synchronous spawn window

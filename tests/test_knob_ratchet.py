@@ -9,8 +9,9 @@ quiet constructor parameter, config field or package export.
 import dataclasses
 import inspect
 
+import repro
 import repro.des
-from repro import ClusterConfig
+from repro import Cluster, ClusterConfig, cluster
 from repro.des import Simulator
 
 
@@ -31,6 +32,33 @@ def test_cluster_config_fields():
         "mailbox",
         "service",
         "name_prefix",
+    ]
+
+
+def test_cluster_takes_only_a_host_count_and_a_config():
+    # One way to build a cluster: every option is a ClusterConfig field.
+    for build in (Cluster, cluster):
+        assert list(inspect.signature(build).parameters) == [
+            "n_hosts",
+            "config",
+        ]
+
+
+def test_top_level_exports():
+    # The facade and the config types it takes; everything else is
+    # imported from its subpackage.
+    assert repro.__all__ == [
+        "Cluster",
+        "ClusterConfig",
+        "FaultPlan",
+        "MailboxConfig",
+        "MetricsRegistry",
+        "ReplicationConfig",
+        "ResiliencePolicy",
+        "ServiceConfig",
+        "__version__",
+        "cluster",
+        "cost_breakdown",
     ]
 
 

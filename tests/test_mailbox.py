@@ -10,15 +10,13 @@ deterministic the same way; and the ``no-lost-mail`` /
 
 import pytest
 
-import repro
 from repro import (
     Cluster,
     ClusterConfig,
     FaultPlan,
-    Mail,
     MailboxConfig,
 )
-from repro.mailbox import LIFECYCLE, NoLiveDaemonError
+from repro.mailbox import LIFECYCLE, Mail, NoLiveDaemonError
 from repro.perf import TraceHasher
 from repro.resilience import ResiliencePolicy, ScheduleSearcher
 

@@ -13,7 +13,6 @@ replication-free build.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro
 from repro import (
     Cluster,
     ClusterConfig,
@@ -124,13 +123,11 @@ class TestConfig:
         c = build(replication=ReplicationConfig(factor=1))
         assert c.mail.replication is None
 
-    def test_experiment_builder_arms_replication(self):
-        c = (
-            repro.Experiment()
-            .hosts(4)
-            .replication(ReplicationConfig(factor=3))
-            .build()
-        )
+    def test_cluster_config_arms_replication(self):
+        c = Cluster(config=ClusterConfig(
+            n_hosts=4,
+            mailbox=MailboxConfig(replication=ReplicationConfig(factor=3)),
+        ))
         assert c.mail.replication is not None
         assert c.mail.replication.config.factor == 3
 

@@ -12,8 +12,13 @@ clean under a 100+ schedule search.
 
 import pytest
 
-import repro
-from repro import Cluster, ClusterConfig, FaultPlan, ResiliencePolicy
+from repro import (
+    Cluster,
+    ClusterConfig,
+    FaultPlan,
+    MetricsRegistry,
+    ResiliencePolicy,
+)
 from repro.des.rng import RngRegistry
 from repro.perf import hashing_all_simulators
 from repro.service import (
@@ -244,7 +249,7 @@ class TestCircuitBreaker:
         assert breaker.times_opened == 2
 
     def test_gauges_feed_the_decision(self):
-        registry = repro.MetricsRegistry()
+        registry = MetricsRegistry()
         sim = FakeSim()
         breaker = CircuitBreaker(
             sim, "host2", window=2, threshold=0.5, metrics=registry
@@ -410,14 +415,6 @@ class TestFacade:
         assert isinstance(cluster.service, ServiceWorkload)
         assert cluster.service.config == ServiceConfig()
 
-    def test_experiment_builder_step(self):
-        config = ServiceConfig(rate_rps=50.0, duration_s=0.1)
-        experiment = repro.Experiment().hosts(4).service(config)
-        cluster = experiment.build()
-        assert cluster.config.service is config
-        stats = cluster.service.run("messengers")
-        assert sum(stats["outcomes"].values()) == stats["arrivals"]
-
     def test_service_layer_shows_in_repr(self):
         cluster = Cluster(config=ClusterConfig())
         assert "service" not in repr(cluster)
@@ -474,7 +471,9 @@ class TestScheduleSearch:
         def runner(plan, seed):
             calls.append(plan)
 
-        searcher = repro.ScheduleSearcher(
+        from repro.resilience import ScheduleSearcher
+
+        searcher = ScheduleSearcher(
             runner, hosts=["host1"], horizon_s=1.0,
             crash_fractions=(0.5,), loss_rates=(0.05,),
         )
