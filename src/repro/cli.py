@@ -31,11 +31,11 @@ Commands
     writes the JSON report — including the shrunk minimal FaultPlan,
     replayable via ``FaultPlan.from_dict`` — to disk.  Exits non-zero
     when a violation is found.
-``bench {perf,throughput,faults,resilience,mailbox,conversations,service,scale,sweep} [--parallel N]``
+``bench {perf,faults,resilience,mailbox,conversations,service,scale,sweep} [--parallel N]``
     Run a benchmark suite and emit the JSON blob the committed
     ``BENCH_*.json`` files are made of (stdout, or ``--out FILE``).
-    ``perf`` is the throughput report behind ``BENCH_perf.json``;
-    ``throughput`` is just its microbenchmarks; ``faults`` /
+    ``perf`` is the throughput report behind ``BENCH_perf.json``
+    (its ``current`` section holds the microbenchmarks); ``faults`` /
     ``resilience`` regenerate the fault and resilience sweeps;
     ``mailbox`` measures mail delivery latency and throughput under
     churn and 5% loss (``BENCH_mailbox.json``); ``conversations``
@@ -364,10 +364,6 @@ def _cmd_bench(args) -> int:
             repeats=args.repeats,
             figures=not args.no_figures,
         )
-    elif args.which == "throughput":
-        from .perf import throughput_suite
-
-        blob = throughput_suite(scale=args.scale, repeats=args.repeats)
     elif args.which == "faults":
         blob = bench.run_loss_sweep(processes=args.parallel)
     elif args.which == "resilience":
@@ -543,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "which",
         choices=[
-            "perf", "throughput", "faults", "resilience", "mailbox",
+            "perf", "faults", "resilience", "mailbox",
             "conversations", "service", "scale", "sweep",
         ],
     )

@@ -65,10 +65,10 @@ class ClusterConfig:
     One object describes the whole platform; subsystems each get a
     field instead of growing the constructor a kwarg at a time:
 
-    ``n_hosts``, ``name_prefix``, ``cpu_scale``, ``costs``
-        The physical platform — how many simulated workstations, their
-        names, their relative CPU speed, and the cost table (default:
-        the SPARCstation 5 calibration).
+    ``n_hosts``, ``cpu_scale``, ``costs``
+        The physical platform — how many simulated workstations
+        (``host0``, ``host1``, ...), their relative CPU speed, and the
+        cost table (default: the SPARCstation 5 calibration).
     ``topology``
         Shape of the *daemon* network: ``"ethernet"`` (alias
         ``"complete"``) or ``"ring"``, or a pre-built
@@ -107,7 +107,6 @@ class ClusterConfig:
     resilience: Any = None
     mailbox: Union[None, bool, MailboxConfig] = None
     service: Any = None
-    name_prefix: str = "host"
 
     def __post_init__(self):
         if self.n_hosts < 1:
@@ -161,7 +160,6 @@ class Cluster:
             config.n_hosts,
             self.costs,
             config.cpu_scale,
-            config.name_prefix,
         )
         if isinstance(config.metrics, MetricsRegistry):
             self.metrics: Optional[MetricsRegistry] = config.metrics
@@ -322,9 +320,9 @@ class Cluster:
         if name is None:
             index = len(self.network)
             taken = set(self.network.host_names)
-            while f"{self.config.name_prefix}{index}" in taken:
+            while f"host{index}" in taken:
                 index += 1
-            name = f"{self.config.name_prefix}{index}"
+            name = f"host{index}"
         try:
             host = self.network.host(name)
         except KeyError:

@@ -19,12 +19,11 @@ seed=s))`` and the ``repro chaos`` CLI command.
 """
 
 from .injector import FaultInjector
-from .plan import FaultEvent, FaultPlan, FaultPlanError, RetransmitPolicy
+from .plan import FaultEvent, FaultPlan, FaultPlanError
 
 __all__ = [
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",
     "FaultPlanError",
-    "RetransmitPolicy",
 ]

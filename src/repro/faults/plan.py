@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["FaultEvent", "FaultPlan", "FaultPlanError", "RetransmitPolicy"]
+__all__ = ["FaultEvent", "FaultPlan", "FaultPlanError"]
 
 #: Timed-event kinds understood by the injector.
 CRASH = "crash"
@@ -76,26 +76,6 @@ class FaultEvent:
             raise ValueError("hang needs a positive duration")
 
 
-@dataclass(frozen=True)
-class RetransmitPolicy:
-    """Tuning knobs for the reliable (ack/seq/retransmit) channel."""
-
-    timeout_s: float = 0.05       # first retransmit timeout
-    backoff: float = 2.0          # multiplier per unsuccessful attempt
-    jitter: float = 0.25          # +U(0, jitter) fraction, from des.rng
-    max_retries: int = 12         # then the packet is abandoned
-
-    def __post_init__(self):
-        if self.timeout_s <= 0:
-            raise ValueError("retransmit timeout must be positive")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1")
-        if not 0 <= self.jitter <= 1:
-            raise ValueError("jitter must be in [0, 1]")
-        if self.max_retries < 1:
-            raise ValueError("need at least one retry")
-
-
 def _check_rate(rate: float) -> float:
     rate = float(rate)
     if not 0.0 <= rate <= 1.0:
@@ -113,9 +93,6 @@ class FaultPlan:
 
     def __init__(self):
         self.events: list[FaultEvent] = []
-        #: ``None`` means "use the CostModel's retransmit_* defaults";
-        #: :meth:`retransmit` installs an explicit override.
-        self.retransmit_policy: Optional[RetransmitPolicy] = None
         self._drop: dict[tuple, float] = {}
         self._duplicate: dict[tuple, float] = {}
         self._corrupt: dict[tuple, float] = {}
@@ -174,22 +151,6 @@ class FaultPlan:
         return self._add(
             FaultEvent(at=at, kind=HANG, host=host, duration=duration)
         )
-
-    def retransmit(
-        self,
-        timeout_s: float = 0.05,
-        backoff: float = 2.0,
-        jitter: float = 0.25,
-        max_retries: int = 12,
-    ):
-        """Configure the reliable channel's retransmission behaviour."""
-        self.retransmit_policy = RetransmitPolicy(
-            timeout_s=timeout_s,
-            backoff=backoff,
-            jitter=jitter,
-            max_retries=max_retries,
-        )
-        return self
 
     # -- queries (used by the injector and the transport fast paths) -------
 
@@ -338,7 +299,6 @@ class FaultPlan:
         Rate keys flatten to ``[src, dst, rate]`` triples (``None`` is a
         wildcard) because JSON objects cannot key on tuples.
         """
-        policy = self.retransmit_policy
         return {
             "events": [
                 {
@@ -356,18 +316,25 @@ class FaultPlan:
                 self._duplicate.items(), key=repr)],
             "corrupt": [[s, d, r] for (s, d), r in sorted(
                 self._corrupt.items(), key=repr)],
-            "retransmit": None if policy is None else {
-                "timeout_s": policy.timeout_s,
-                "backoff": policy.backoff,
-                "jitter": policy.jitter,
-                "max_retries": policy.max_retries,
-            },
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
         """Rebuild a plan serialized by :meth:`to_dict` (validating as
-        the builder would)."""
+        the builder would).
+
+        Files written by older versions carry a ``"retransmit"`` key.
+        ``null`` there means the cost model's timing and is accepted;
+        retransmit timing lives only in :class:`~repro.netsim.CostModel`,
+        so any other value cannot be honoured and raises
+        :class:`FaultPlanError`.
+        """
+        if data.get("retransmit") is not None:
+            raise FaultPlanError(
+                "fault plans no longer carry a retransmit policy; set "
+                "CostModel.retransmit_* instead (got "
+                f"{data['retransmit']!r})"
+            )
         plan = cls()
         for entry in data.get("events", ()):
             plan._add(FaultEvent(**entry))
@@ -378,9 +345,6 @@ class FaultPlan:
         ):
             for src, dst, rate in data.get(key, ()):
                 method(rate, src=src, dst=dst)
-        policy = data.get("retransmit")
-        if policy is not None:
-            plan.retransmit(**policy)
         return plan
 
     def __repr__(self) -> str:

@@ -216,10 +216,9 @@ class Mailbox:
 class MailboxConfig:
     """Typed configuration for the mailbox layer (facade plumbing).
 
-    ``poll_interval_s`` is the default cadence of poll-mode consumers;
-    ``auto_create`` lets :meth:`MailboxService.send` conjure the
-    recipient's mailbox on first use (off = sending to a node that
-    never registered raises).  ``replication`` hangs a
+    ``poll_interval_s`` is the default cadence of poll-mode consumers
+    (:meth:`MailboxService.send` creates the recipient's mailbox on
+    first use).  ``replication`` hangs a
     :class:`~repro.replication.ReplicationConfig` off the layer: with a
     factor >= 2 every mailbox is spread over a replica set of daemons,
     writes are quorum-acked, and gossip anti-entropy keeps the replicas
@@ -229,7 +228,6 @@ class MailboxConfig:
     """
 
     poll_interval_s: float = 0.05
-    auto_create: bool = True
     replication: Optional[Any] = None
 
     def __post_init__(self):
@@ -413,11 +411,6 @@ class MailboxService:
         :meth:`request` / :meth:`reply`).
         """
         node = self._resolve(to)
-        if not self.config.auto_create and node.uid not in self._boxes:
-            raise KeyError(
-                f"node {node.display_name!r} has no mailbox and "
-                "auto_create is off"
-            )
         self.mailbox(node)
         sender, origin = self._sender_label(frm)
         mail = Mail(

@@ -47,13 +47,18 @@ Contract with the rest of the system (the bit-identity guarantee):
   the same order, with the same argument values, and native exceptions
   propagate raw exactly as in the interpreter.
 
-One deliberate, documented divergence, confined to error paths that
-terminate the Messenger (no Command is returned, nothing is charged):
-:class:`~.vm.MclRuntimeError` *message texts* for failed operations may
-differ (the error class and the raise point in the program do not).
-The ``max_instructions`` runaway guard stops on the interpreter's exact
-instruction: a block the remaining budget cannot cover is handed to
-:func:`.vm.run`.
+Error paths that terminate the Messenger (no Command is returned,
+nothing is charged) raise the interpreter's error: a read of an unbound
+variable, a failed ``[]`` or index assignment, and the
+``max_instructions`` runaway guard carry its exact message.  One
+deliberate, documented divergence remains: a failed arithmetic
+operation or comparison is reported as ``"<program>: <python error>"``
+without the interpreter's ``"+ failed:"``-style prefix, because a fused
+expression does not know which of its operators raised (a failed unary
+minus is wrapped the same way, where the interpreter lets its
+``TypeError`` through).  The runaway guard stops on the interpreter's
+exact instruction: a block the remaining budget cannot cover is handed
+to :func:`.vm.run`, and its error is re-raised naming the full budget.
 
 This is the backend every daemon runs
 (:data:`repro.messengers.daemon.VM_RUN`); the interpreter stays as the
@@ -110,8 +115,8 @@ from .vm import (
     _OP_STORE_M,
     _OP_STORE_N,
     _OP_SUB,
+    _budget_exceeded,
     _build_dispatch,
-    _coerce_index,
     _create_command,
     _nav_name,
     _run_counting,
@@ -125,6 +130,41 @@ __all__ = ["run", "compile_program", "CompiledProgram"]
 
 #: Exception classes the interpreter converts to MclRuntimeError.
 _ERRS = (TypeError, ZeroDivisionError, IndexError, KeyError)
+
+
+def _index(container: Any, index: Any) -> Any:
+    """The VM's ``[]``, failing with the interpreter's message."""
+    if isinstance(index, float) and index.is_integer():
+        index = int(index)
+    try:
+        return container[index]
+    except (TypeError, IndexError, KeyError) as error:
+        raise MclRuntimeError(f"[] failed: {error}") from error
+
+
+def _store_index(container: Any, index: Any, value: Any) -> None:
+    """The VM's index assignment, failing with the interpreter's
+    message."""
+    if isinstance(index, float) and index.is_integer():
+        index = int(index)
+    try:
+        container[index] = value
+    except (TypeError, IndexError, KeyError) as error:
+        raise MclRuntimeError(f"index assignment failed: {error}") from error
+
+
+def _failed(pname: str, error: Exception) -> MclRuntimeError:
+    """The error for an operation that failed inside a block.
+
+    ``[]`` and index assignment raise their own errors, so a
+    ``KeyError`` here is a dict-form variable read, as the interpreter
+    words it.
+    """
+    if isinstance(error, KeyError):
+        return MclRuntimeError(
+            f"{pname}variable {error.args[0]!r} used before assignment"
+        )
+    return MclRuntimeError(pname + str(error))
 
 
 def _div(left: Any, right: Any) -> Any:
@@ -154,7 +194,7 @@ _ARITH = {
     _OP_MUL: "({0} * {1})",
     _OP_MOD: "({0} % {1})",
     _OP_DIV: "_div({0}, {1})",
-    _OP_INDEX: "({0})[_ci({1})]",
+    _OP_INDEX: "_index({0}, {1})",
 }
 
 #: Fused comparisons: opcode -> boolean-context format string.  The
@@ -451,7 +491,8 @@ class _BlockGen:
             for sym in (container, index, value):  # original push order
                 self.materialize(sym)
             self.w(
-                f"({container.expr})[_ci({index.expr})] = {value.expr}"
+                f"_store_index({container.expr}, {index.expr}, "
+                f"{value.expr})"
             )
         elif op == _OP_LOADNET:
             self.flush_reads()
@@ -554,7 +595,7 @@ class _BlockGen:
             out.append("try:")
             out.extend(f"    {line}" for line in run)
             out.append("except _ERRS as _e:")
-            out.append("    raise MclRuntimeError(_PNAME + str(_e)) from _e")
+            out.append("    raise _failed(_PNAME, _e) from _e")
             run.clear()
 
         for channel, line in self.lines:
@@ -922,7 +963,9 @@ class _ProgramGen:
             "_create": _create_command,
             "_nav": _nav_name,
             "_div": _div,
-            "_ci": _coerce_index,
+            "_index": _index,
+            "_store_index": _store_index,
+            "_failed": _failed,
             "_ERRS": _ERRS,
             "_PNAME": f"{self.program.name}: ",
         }
@@ -1027,13 +1070,16 @@ def run(
     frame.pc = compiled.entry_pc[index]
     frame.block = -1
     if executed >= max_instructions:
-        raise MclRuntimeError(
-            f"{program.name}: exceeded {max_instructions} instructions "
-            "without reaching a preemption point (infinite loop?)"
-        )
+        raise _budget_exceeded(program.name, max_instructions)
     # A block is straight-line, so the interpreter cannot reach its
-    # terminator either: it raises on the exact instruction.
-    return _vm_run(
-        frame, messenger_vars, node_vars, netvar, call_native,
-        max_instructions - executed,
-    )
+    # terminator either: it raises on the exact instruction.  Its
+    # budget error names the residual budget; report the full one.
+    residual = max_instructions - executed
+    try:
+        return _vm_run(
+            frame, messenger_vars, node_vars, netvar, call_native, residual,
+        )
+    except MclRuntimeError as exc:
+        if exc.args != _budget_exceeded(program.name, residual).args:
+            raise
+        raise _budget_exceeded(program.name, max_instructions) from None

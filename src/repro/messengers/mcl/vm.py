@@ -53,6 +53,14 @@ class MclRuntimeError(RuntimeError):
     """An error raised while interpreting a Messenger script."""
 
 
+def _budget_exceeded(name: str, max_instructions: int) -> MclRuntimeError:
+    """The runaway-script guard's error, shared by both backends."""
+    return MclRuntimeError(
+        f"{name}: exceeded {max_instructions} instructions "
+        "without reaching a preemption point (infinite loop?)"
+    )
+
+
 @dataclass(slots=True)
 class Frame:
     """Execution state of one Messenger: program counter + operand stack.
@@ -346,10 +354,7 @@ def run(
             return DoneCommand(instructions=executed)
         if executed >= max_instructions:
             frame.pc = pc
-            raise MclRuntimeError(
-                f"{program.name}: exceeded {max_instructions} instructions "
-                "without reaching a preemption point (infinite loop?)"
-            )
+            raise _budget_exceeded(program.name, max_instructions)
         op, arg = code[pc]
         pc += 1
         executed += 1
@@ -587,10 +592,7 @@ def _run_counting(
 
     while True:
         if executed >= max_instructions:
-            raise MclRuntimeError(
-                f"{program.name}: exceeded {max_instructions} instructions "
-                "without reaching a preemption point (infinite loop?)"
-            )
+            raise _budget_exceeded(program.name, max_instructions)
         try:
             instr = instructions[frame.pc]
         except IndexError:

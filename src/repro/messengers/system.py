@@ -267,11 +267,31 @@ class MessengersSystem:
                 for m in self.messengers.values()
                 if m.alive and not m.suspended
             ]
+            # Packets given up because the retries ran out, as opposed
+            # to ones abandoned at a crashed endpoint or a deadline.
+            faults = self.network.faults
+            exhausted = (
+                faults.counts.get("retransmits_exhausted", 0)
+                if faults is not None
+                else 0
+            )
+            if exhausted:
+                cause = (
+                    f"the reliable transport abandoned {exhausted} "
+                    "packet(s) after the retry budget "
+                    f"(CostModel.retransmit_max_retries="
+                    f"{self.network.costs.retransmit_max_retries}) ran "
+                    "out, losing the Messengers they carried"
+                )
+            else:
+                cause = (
+                    "a host crash without a crash-capable FaultPlan "
+                    "attached loses in-flight Messengers irrecoverably"
+                )
             raise SimulationError(
                 f"event queue drained with {self.active_count} Messengers "
                 f"still accounted active (stranded ids: {stranded}) — "
-                "a host crash without a crash-capable FaultPlan attached "
-                "loses in-flight Messengers irrecoverably"
+                f"{cause}"
             )
         return self.sim.now
 

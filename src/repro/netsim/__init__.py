@@ -6,7 +6,7 @@ rationale and :mod:`repro.netsim.costs` for every calibration constant.
 """
 
 from ..des.errors import SimOverloadError
-from .costs import CacheModel, CostModel, DEFAULT_COSTS, sparc5_costs
+from .costs import CacheModel, CostModel, DEFAULT_COSTS
 from .ethernet import EthernetSegment
 from .host import Host, HostCrashedError
 from .transport import Network, Packet, build_lan
@@ -22,5 +22,4 @@ __all__ = [
     "Packet",
     "SimOverloadError",
     "build_lan",
-    "sparc5_costs",
 ]

@@ -16,15 +16,15 @@ reproduce the *shapes* of Figures 4–7 and 12:
   the super-linear parallel speedups.
 
 The constants are exposed as a dataclass so benchmarks can run ablations
-(e.g. sweeping ``copy_cost_per_byte`` to locate the messages/messengers
-crossover).
+(e.g. sweeping ``pack_cost_per_byte_s`` to locate the messages/messengers
+crossover); a variant is ``dataclasses.replace(DEFAULT_COSTS, ...)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-__all__ = ["CacheModel", "CostModel", "DEFAULT_COSTS", "sparc5_costs"]
+__all__ = ["CacheModel", "CostModel", "DEFAULT_COSTS"]
 
 
 @dataclass(frozen=True)
@@ -104,9 +104,7 @@ class CostModel:
     # -- reliable channel (seq/ack/retransmit) -------------------------------
     #: Size of one acknowledgement frame on the wire.
     ack_bytes: int = 64
-    #: First retransmit timeout of the reliable channel.  A
-    #: :class:`~repro.faults.RetransmitPolicy` set explicitly on a
-    #: :class:`~repro.faults.FaultPlan` overrides these four fields.
+    #: First retransmit timeout of the reliable channel.
     retransmit_timeout_s: float = 0.05
     #: Timeout multiplier per unsuccessful attempt.
     retransmit_backoff: float = 2.0
@@ -126,10 +124,6 @@ class CostModel:
     #: Optimistic GVT: fixed cost of one rollback.
     rollback_s: float = 1.0e-3
 
-    def with_(self, **overrides) -> "CostModel":
-        """A copy of this model with the given fields replaced."""
-        return replace(self, **overrides)
-
     # -- derived helpers -------------------------------------------------------
 
     def compute_seconds(self, flops: float, working_set_bytes: float = 0.0,
@@ -145,11 +139,6 @@ class CostModel:
     def wire_seconds(self, size_bytes: float) -> float:
         """Time the shared medium is occupied by one frame."""
         return self.wire_latency_s + size_bytes / self.bandwidth_bytes_per_s
-
-
-def sparc5_costs(**overrides) -> CostModel:
-    """The default calibration (SPARCstation 5 / 10 Mb Ethernet era)."""
-    return CostModel().with_(**overrides) if overrides else CostModel()
 
 
 #: Shared default instance used when no model is passed explicitly.

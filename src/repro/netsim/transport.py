@@ -420,24 +420,13 @@ class Network:
         budget runs out (a crashed peer is the recovery layers' problem,
         not the transport's)."""
         faults = self.faults
-        # An explicit plan policy wins; otherwise the cost model's
-        # retransmit_* fields apply (sweepable per experiment).
-        policy = faults.plan.retransmit_policy
-        if policy is None:
-            costs = self.costs
-            timeout_s = costs.retransmit_timeout_s
-            backoff = costs.retransmit_backoff
-            jitter = costs.retransmit_jitter
-            max_retries = costs.retransmit_max_retries
-        else:
-            timeout_s = policy.timeout_s
-            backoff = policy.backoff
-            jitter = policy.jitter
-            max_retries = policy.max_retries
+        costs = self.costs
+        backoff = costs.retransmit_backoff
+        jitter = costs.retransmit_jitter
         jitter_rng = faults.retransmit_rng
-        delay = timeout_s
+        delay = costs.retransmit_timeout_s
         key = (packet.src, packet.dst, packet.port, packet.seq)
-        for _attempt in range(max_retries):
+        for _attempt in range(costs.retransmit_max_retries):
             yield ack_event | self.sim.timeout(delay)
             if ack_event.triggered:
                 return
@@ -558,7 +547,6 @@ def build_lan(
     n_hosts: int,
     costs: CostModel = DEFAULT_COSTS,
     cpu_scale: float = 1.0,
-    name_prefix: str = "host",
 ) -> Network:
     """Build the paper's platform: ``n_hosts`` workstations on one LAN."""
     if n_hosts < 1:
@@ -566,6 +554,6 @@ def build_lan(
     network = Network(sim, costs)
     for index in range(n_hosts):
         network.add_host(
-            Host(sim, f"{name_prefix}{index}", costs, cpu_scale=cpu_scale)
+            Host(sim, f"host{index}", costs, cpu_scale=cpu_scale)
         )
     return network

@@ -147,75 +147,32 @@ class Histogram:
     ``buckets`` are upper bounds in increasing order; an implicit
     +inf bucket catches the overflow.  ``count`` and ``sum`` track the
     whole stream, so averages survive bucketing.
-
-    Optional **reservoir mode** (``reservoir=k`` with an ``rng``): a
-    uniform sample of ``k`` observations is maintained alongside the
-    buckets via Vitter's Algorithm R — O(1) per observation, one
-    ``randrange`` draw once the reservoir is full.  :meth:`quantile`
-    then reads exact order statistics of the sample instead of
-    interpolating inside a bucket, which matters for tail quantiles
-    (p99.9) of long-tailed latency streams.  Pass a named stream from
-    :class:`~repro.des.RngRegistry` as ``rng`` so the sample — and
-    every quantile derived from it — is deterministic per root seed.
     """
 
     kind = "histogram"
-    __slots__ = (
-        "name", "buckets", "counts", "count", "sum",
-        "reservoir_size", "_reservoir", "_rng", "_sorted",
-    )
+    __slots__ = ("name", "buckets", "counts", "count", "sum")
 
     #: Default bounds for second-valued observations (1µs .. 10s).
     DEFAULT_BUCKETS = (
         1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0,
     )
 
-    def __init__(
-        self,
-        name: str,
-        buckets: Optional[Sequence[float]] = None,
-        reservoir: int = 0,
-        rng=None,
-    ):
+    def __init__(self, name: str, buckets: Optional[Sequence[float]] = None):
         bounds = tuple(buckets) if buckets is not None else self.DEFAULT_BUCKETS
         if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
             raise ValueError(
                 f"histogram {name}: buckets must be strictly increasing"
-            )
-        if reservoir < 0:
-            raise ValueError(
-                f"histogram {name}: reservoir must be >= 0, got {reservoir}"
-            )
-        if reservoir and rng is None:
-            raise ValueError(
-                f"histogram {name}: reservoir mode needs an rng (pass a "
-                "named RngRegistry stream for determinism)"
             )
         self.name = name
         self.buckets = bounds
         self.counts = [0] * (len(bounds) + 1)  # +1 for the +inf bucket
         self.count = 0
         self.sum = 0.0
-        self.reservoir_size = int(reservoir)
-        self._reservoir: Optional[list] = [] if reservoir else None
-        self._rng = rng
-        self._sorted: Optional[list] = None
 
     def observe(self, value: float) -> None:
         self.counts[bisect.bisect_left(self.buckets, value)] += 1
         self.count += 1
         self.sum += value
-        reservoir = self._reservoir
-        if reservoir is not None:
-            if len(reservoir) < self.reservoir_size:
-                reservoir.append(value)
-            else:
-                slot = self._rng.randrange(self.count)
-                if slot < self.reservoir_size:
-                    reservoir[slot] = value
-                else:
-                    return  # sample unchanged; keep the sort cache
-            self._sorted = None
 
     @property
     def mean(self) -> float:
@@ -224,26 +181,15 @@ class Histogram:
     def quantile(self, q: float) -> float:
         """Estimated ``q``-quantile (0 <= q <= 1).
 
-        Bucket mode (default) is Prometheus-style: find the bucket
-        holding the target rank and interpolate linearly inside it (the
-        lowest bucket interpolates from 0; the +inf bucket returns its
-        lower bound — the estimate saturates).  Reservoir mode
-        interpolates between the sample's order statistics instead.
+        Prometheus-style: find the bucket holding the target rank and
+        interpolate linearly inside it (the lowest bucket interpolates
+        from 0; the +inf bucket returns its lower bound — the estimate
+        saturates).
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         if self.count == 0:
             return 0.0
-        if self._reservoir:
-            ordered = self._sorted
-            if ordered is None:
-                ordered = self._sorted = sorted(self._reservoir)
-            position = q * (len(ordered) - 1)
-            low = int(position)
-            frac = position - low
-            if frac == 0.0 or low + 1 >= len(ordered):
-                return ordered[low]
-            return ordered[low] + (ordered[low + 1] - ordered[low]) * frac
         rank = q * self.count
         seen = 0
         for index, n in enumerate(self.counts):

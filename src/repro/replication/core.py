@@ -48,6 +48,15 @@ __all__ = [
     "vv_dominates",
 ]
 
+#: Anti-entropy cadence while any replica set is divergent.
+GOSSIP_INTERVAL_S = 0.02
+#: Bound on one syn/ack/push exchange: a peer that has not answered
+#: within it may be re-tried.
+EXCHANGE_TIMEOUT_S = 0.5
+#: Consecutive expired exchanges after which a pair is suspended until
+#: a heal is observed, so an unhealed partition degrades to a loud
+#: non-convergence instead of an infinite gossip spin.
+MAX_EXCHANGE_FAILURES = 3
 #: Fixed per-gossip-message envelope in bytes.
 GOSSIP_ENVELOPE_BYTES = 64
 #: Wire size of one (mail id, stage) record in a gossip map.
@@ -133,22 +142,13 @@ class ReplicationConfig:
     ``factor`` is the replica-set size per mailbox (1 = replication
     off — the service arms nothing and stays byte-identical to a
     replication-free build).  ``quorum`` is how many replica acks make
-    a write durable (default: majority).  ``gossip_interval_s`` is the
-    anti-entropy cadence while any replica set is divergent; the
-    driver parks (and stops keeping the run alive) once everything
-    converged.  ``exchange_timeout_s`` bounds one syn/ack/push
-    exchange: a peer that has not answered within it may be re-tried,
-    and after ``max_exchange_failures`` consecutive expiries the pair
-    is suspended until a ``heal`` is observed — so an unhealed
-    partition degrades to a loud non-convergence instead of an
-    infinite gossip spin.
+    a write durable (default: majority).  The gossip cadence and the
+    exchange timeout are the module constants ``GOSSIP_INTERVAL_S``,
+    ``EXCHANGE_TIMEOUT_S`` and ``MAX_EXCHANGE_FAILURES``.
     """
 
     factor: int = 2
     quorum: Optional[int] = None
-    gossip_interval_s: float = 0.02
-    exchange_timeout_s: float = 0.5
-    max_exchange_failures: int = 3
 
     def __post_init__(self):
         if self.factor < 1:
@@ -161,21 +161,6 @@ class ReplicationConfig:
             raise ValueError(
                 f"quorum must be in [1, factor={self.factor}], "
                 f"got {self.quorum}"
-            )
-        if self.gossip_interval_s <= 0:
-            raise ValueError(
-                "gossip interval must be positive, "
-                f"got {self.gossip_interval_s}"
-            )
-        if self.exchange_timeout_s <= 0:
-            raise ValueError(
-                "exchange timeout must be positive, "
-                f"got {self.exchange_timeout_s}"
-            )
-        if self.max_exchange_failures < 1:
-            raise ValueError(
-                "need at least one exchange failure before suspension, "
-                f"got {self.max_exchange_failures}"
             )
 
     @property
@@ -556,12 +541,11 @@ class ReplicationService:
         the run cannot end with known-divergent replicas that gossip
         could still repair.
         """
-        interval = self.config.gossip_interval_s
         while True:
             if not self._dirty or not self._has_sendable(self.sim.now):
                 yield self._wake.get()
                 continue
-            yield self.sim.timeout(interval)
+            yield self.sim.timeout(GOSSIP_INTERVAL_S)
             if self._dirty:
                 self._run_round()
 
@@ -573,10 +557,7 @@ class ReplicationService:
         ]
 
     def _suspended(self, pair: tuple[str, str]) -> bool:
-        return (
-            self._fails.get(pair, 0)
-            >= self.config.max_exchange_failures
-        )
+        return self._fails.get(pair, 0) >= MAX_EXCHANGE_FAILURES
 
     def _peer_for(
         self, daemon: str, now: float, commit: bool
@@ -608,7 +589,7 @@ class ReplicationService:
                 continue
             started = self._outstanding.get(pair)
             if started is not None:
-                if now - started < self.config.exchange_timeout_s:
+                if now - started < EXCHANGE_TIMEOUT_S:
                     continue
                 if commit:
                     self._fails[pair] = self._fails.get(pair, 0) + 1

@@ -92,23 +92,18 @@ class ResiliencePolicy:
     ``detector`` switches crash announcements from oracle mode to
     detection mode: ``"heartbeat"`` (fixed timeout, suspect after
     ``heartbeat_misses`` silent intervals) or ``"phi"`` (phi-accrual
-    with ``phi_threshold``, capped at ``max_silence_s``).
-    ``supervision`` applies a :class:`RestartPolicy` to announced
-    failures.  ``flow_credits`` bounds every reliable channel's unacked
-    packets (overflow raises :class:`~repro.des.SimOverloadError`).
-    Invariants are added to the armed suite with
-    :meth:`ResilienceSuite.add_invariant`; ``invariant_interval_s``
-    paces their in-run sweeps.
+    with ``phi_threshold``).  ``supervision`` applies a
+    :class:`RestartPolicy` to announced failures.  ``flow_credits``
+    bounds every reliable channel's unacked packets (overflow raises
+    :class:`~repro.des.SimOverloadError`).  Invariants are added to the
+    armed suite with :meth:`ResilienceSuite.add_invariant`.
     """
 
     detector: Optional[str] = None
-    heartbeat_interval_s: float = 0.02
     heartbeat_misses: int = 3
     phi_threshold: float = 8.0
-    max_silence_s: float = 0.25
     supervision: Optional[RestartPolicy] = None
     flow_credits: Optional[int] = None
-    invariant_interval_s: float = 0.05
 
     def __post_init__(self):
         if self.detector is not None and self.detector not in DETECTORS:
@@ -155,15 +150,12 @@ class ResilienceSuite:
         if policy.detector == "heartbeat":
             self._observe()
             self.detector = HeartbeatDetector(
-                network, policy.heartbeat_interval_s,
-                policy.heartbeat_misses, rng, suite=self,
+                network, policy.heartbeat_misses, rng, suite=self,
             )
         elif policy.detector == "phi":
             self._observe()
             self.detector = PhiAccrualDetector(
-                network, policy.heartbeat_interval_s,
-                policy.phi_threshold, policy.max_silence_s, rng,
-                suite=self,
+                network, policy.phi_threshold, rng, suite=self,
             )
         if policy.supervision is not None:
             self._observe()
@@ -204,9 +196,7 @@ class ResilienceSuite:
         """Arm ``invariant``; starts the in-run monitor on first use."""
         if self.monitor is None:
             self._observe()
-            self.monitor = InvariantMonitor(
-                self, self.policy.invariant_interval_s
-            )
+            self.monitor = InvariantMonitor(self)
         return self.monitor.add(invariant)
 
     def check_final(self) -> None:

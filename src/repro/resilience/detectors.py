@@ -16,8 +16,8 @@ Two classical detectors are provided:
 * :class:`PhiAccrualDetector` — Hayashibara et al.'s phi-accrual
   detector: the suspicion level ``phi = -log10(P(a beat could still be
   this late))`` is computed from the observed inter-arrival history, so
-  the threshold adapts to the link's actual jitter.  A ``max_silence_s``
-  cap bounds the worst case.
+  the threshold adapts to the link's actual jitter.  A
+  ``MAX_SILENCE_S`` cap bounds the worst case.
 
 Both run on *background* (daemon) timeouts, so an armed detector never
 keeps the simulation alive by itself; the transport's detection-mode
@@ -40,6 +40,10 @@ __all__ = ["FailureDetector", "HeartbeatDetector", "PhiAccrualDetector"]
 
 #: RNG stream for modeled heartbeat-arrival jitter.
 HEARTBEAT_STREAM = "resilience.heartbeat"
+#: Period of the modeled heartbeats every detector watches.
+HEARTBEAT_INTERVAL_S = 0.02
+#: The phi-accrual detector's cap on the silence any history excuses.
+MAX_SILENCE_S = 0.25
 
 
 class FailureDetector:
@@ -52,14 +56,9 @@ class FailureDetector:
     exists.
     """
 
-    def __init__(self, network, interval_s: float, rng, suite=None):
-        if interval_s <= 0:
-            raise ValueError(
-                f"heartbeat interval must be positive, got {interval_s}"
-            )
+    def __init__(self, network, rng, suite=None):
         self.network = network
         self.sim = network.sim
-        self.interval_s = interval_s
         self.suite = suite
         self._rng = rng.stream(HEARTBEAT_STREAM)
         #: host -> arrival time of its most recent (modeled) heartbeat.
@@ -118,7 +117,7 @@ class FailureDetector:
         ``resilience.heartbeat`` stream — modeled arrivals, not packets,
         so the detector adds zero load to the wire it monitors.
         """
-        interval = self.interval_s
+        interval = HEARTBEAT_INTERVAL_S
         jitter = 0.25 * interval
         while True:
             yield self.sim.timeout(interval, daemon=True)
@@ -175,7 +174,7 @@ class FailureDetector:
 
     def __repr__(self) -> str:
         return (
-            f"<{type(self).__name__} interval={self.interval_s:g}s "
+            f"<{type(self).__name__} interval={HEARTBEAT_INTERVAL_S:g}s "
             f"suspected={sorted(self._suspected)}>"
         )
 
@@ -190,20 +189,19 @@ class HeartbeatDetector(FailureDetector):
     ``BENCH_resilience.json``.
     """
 
-    def __init__(self, network, interval_s: float, misses: int, rng,
-                 suite=None):
+    def __init__(self, network, misses: int, rng, suite=None):
         if misses < 1:
             raise ValueError(f"need at least one miss, got {misses}")
         self.misses = misses
-        super().__init__(network, interval_s, rng, suite=suite)
+        super().__init__(network, rng, suite=suite)
 
     @property
     def horizon_s(self) -> float:
         # misses silent intervals + one tick granularity + jitter slack.
-        return self.interval_s * (self.misses + 2)
+        return HEARTBEAT_INTERVAL_S * (self.misses + 2)
 
     def _suspicious(self, name: str, silence_s: float) -> bool:
-        return silence_s > self.misses * self.interval_s
+        return silence_s > self.misses * HEARTBEAT_INTERVAL_S
 
 
 class PhiAccrualDetector(FailureDetector):
@@ -212,7 +210,7 @@ class PhiAccrualDetector(FailureDetector):
     ``phi(silence) = -log10(1 - F(silence))`` where ``F`` is a normal
     fit of the observed inter-arrival distribution; suspicion fires at
     ``phi >= threshold``.  Adaptive: a jittery link automatically earns
-    a longer effective timeout.  ``max_silence_s`` caps the silence a
+    a longer effective timeout.  ``MAX_SILENCE_S`` caps the silence a
     pathological history could excuse, which is what makes
     :attr:`horizon_s` finite.
     """
@@ -220,36 +218,29 @@ class PhiAccrualDetector(FailureDetector):
     #: Minimum samples before the normal fit is trusted.
     MIN_SAMPLES = 4
 
-    def __init__(self, network, interval_s: float, threshold: float,
-                 max_silence_s: float, rng, suite=None):
+    def __init__(self, network, threshold: float, rng, suite=None):
         if threshold <= 0:
             raise ValueError(f"phi threshold must be positive, got "
                              f"{threshold}")
-        if max_silence_s <= interval_s:
-            raise ValueError(
-                f"max_silence_s ({max_silence_s}) must exceed the "
-                f"heartbeat interval ({interval_s})"
-            )
         self.threshold = threshold
-        self.max_silence_s = max_silence_s
-        super().__init__(network, interval_s, rng, suite=suite)
+        super().__init__(network, rng, suite=suite)
 
     @property
     def horizon_s(self) -> float:
-        return self.max_silence_s + 2 * self.interval_s
+        return MAX_SILENCE_S + 2 * HEARTBEAT_INTERVAL_S
 
     def phi(self, name: str, silence_s: float) -> float:
         """Current suspicion level for ``name`` after ``silence_s``."""
         history = self._history.get(name)
         if history is None or len(history) < self.MIN_SAMPLES:
             # Too little history for a fit: fall back to the cap alone.
-            return float("inf") if silence_s >= self.max_silence_s else 0.0
+            return float("inf") if silence_s >= MAX_SILENCE_S else 0.0
         n = len(history)
         mean = sum(history) / n
         variance = sum((x - mean) ** 2 for x in history) / n
         # Floor the spread so a freakishly regular history cannot make
         # the detector hair-triggered.
-        sigma = max(math.sqrt(variance), 0.05 * self.interval_s)
+        sigma = max(math.sqrt(variance), 0.05 * HEARTBEAT_INTERVAL_S)
         z = (silence_s - mean) / sigma
         p_later = 0.5 * math.erfc(z / math.sqrt(2.0))
         if p_later <= 0.0:
@@ -257,6 +248,6 @@ class PhiAccrualDetector(FailureDetector):
         return -math.log10(p_later)
 
     def _suspicious(self, name: str, silence_s: float) -> bool:
-        if silence_s >= self.max_silence_s:
+        if silence_s >= MAX_SILENCE_S:
             return True
         return self.phi(name, silence_s) >= self.threshold

@@ -241,23 +241,22 @@ class LedgerIdentity(Invariant):
         return None
 
 
+#: Period of the monitor's in-run invariant sweeps.
+INVARIANT_INTERVAL_S = 0.05
+
+
 class InvariantMonitor:
     """Runs invariants inside the DES, failing fast on first violation.
 
-    The periodic sweep rides background timeouts, so an armed monitor
-    never keeps the simulation alive; :meth:`check_final` is for the
-    harness to call after the run, where end-state properties (no lost
-    work) become decidable.
+    The periodic sweep (every ``INVARIANT_INTERVAL_S``) rides background
+    timeouts, so an armed monitor never keeps the simulation alive;
+    :meth:`check_final` is for the harness to call after the run, where
+    end-state properties (no lost work) become decidable.
     """
 
-    def __init__(self, suite, interval_s: float):
-        if interval_s <= 0:
-            raise ValueError(
-                f"check interval must be positive, got {interval_s}"
-            )
+    def __init__(self, suite):
         self.suite = suite
         self.sim = suite.sim
-        self.interval_s = interval_s
         self.invariants: list[Invariant] = []
         self.checks_run = 0
         self.sim.process(self._loop(), daemon=True)
@@ -268,7 +267,7 @@ class InvariantMonitor:
 
     def _loop(self):
         while True:
-            yield self.sim.timeout(self.interval_s, daemon=True)
+            yield self.sim.timeout(INVARIANT_INTERVAL_S, daemon=True)
             self.sweep(final=False)
 
     def sweep(self, final: bool) -> None:

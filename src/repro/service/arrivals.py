@@ -26,6 +26,15 @@ from .config import ServiceConfig
 
 __all__ = ["arrival_times", "iter_arrival_times"]
 
+#: Bursty shape: on/off phase lengths and the on-phase rate over the
+#: off-phase rate.
+BURST_ON_S = 0.06
+BURST_OFF_S = 0.06
+BURST_FACTOR = 3.0
+#: Diurnal shape: period and relative depth of the sinusoid.
+DIURNAL_PERIOD_S = 0.3
+DIURNAL_DEPTH = 0.8
+
 
 def _homogeneous(rate: float, duration: float, rng) -> Iterator[float]:
     t = 0.0
@@ -62,21 +71,21 @@ def iter_arrival_times(config: ServiceConfig, rng) -> Iterator[float]:
     if config.arrivals == "poisson":
         return _homogeneous(rate, duration, rng)
     if config.arrivals == "bursty":
-        on = config.burst_on_s
-        off = config.burst_off_s
+        on = BURST_ON_S
+        off = BURST_OFF_S
         period = on + off
         # Mean-preserving on/off: rate_on = factor * rate_off, with the
         # time-average over one period equal to rate_rps.
-        rate_off = rate * period / (config.burst_factor * on + off)
-        rate_on = config.burst_factor * rate_off
+        rate_off = rate * period / (BURST_FACTOR * on + off)
+        rate_on = BURST_FACTOR * rate_off
 
         def burst_rate(t: float) -> float:
             return rate_on if (t % period) < on else rate_off
 
         return _thinned(rate_on, burst_rate, duration, rng)
     # diurnal: sinusoidal modulation, mean-preserving by construction.
-    depth = config.diurnal_depth
-    period = config.diurnal_period_s
+    depth = DIURNAL_DEPTH
+    period = DIURNAL_PERIOD_S
     peak = rate * (1.0 + depth)
 
     def diurnal_rate(t: float) -> float:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["ARRIVAL_KINDS", "ServiceConfig"]
 
@@ -14,28 +14,14 @@ ARRIVAL_KINDS = ("poisson", "bursty", "diurnal")
 class ServiceConfig:
     """One open-loop service experiment, fully described.
 
-    The traffic side: ``arrivals``/``rate_rps``/``duration_s`` shape
-    the open-loop request stream; each request reads one of ``n_keys``
-    logical data keys spread over the server hosts, costs
-    ``request_flops`` of server CPU, and must answer within
-    ``deadline_s`` of its arrival (absolute per-request deadline,
-    propagated across every hop and RPC it causes).
-
-    The graceful-degradation stack (all gated on ``degradation``):
-
-    * admission control — at most ``max_in_flight`` admitted requests
-      concurrently; excess arrivals get a typed rejection instead of a
-      queue slot;
-    * retry budgets — up to ``retry_budget`` retries per request, with
-      per-attempt timeouts growing by ``retry_backoff`` plus
-      deterministic jitter from a named RNG stream;
-    * per-target circuit breakers — a window of ``breaker_window``
-      results whose error rate at or above ``breaker_threshold`` opens
-      the breaker for ``breaker_cooldown_s``, then ``breaker_probes``
-      half-open probes decide between closing and re-opening;
-    * load shedding — servers (and data-node natives) drop requests
-      whose deadline can no longer be met instead of computing dead
-      work.
+    ``arrivals``/``rate_rps``/``duration_s`` shape the open-loop
+    request stream.  ``degradation`` switches the graceful-degradation
+    stack on or off as a whole: admission control, per-request retry
+    budgets, per-target circuit breakers and deadline-driven load
+    shedding.  The tuning values of that stack (key count, request
+    cost, deadline, admission limit, retry and breaker settings) are
+    constants of :mod:`repro.service.workload`; the bursty and diurnal
+    shapes are constants of :mod:`repro.service.arrivals`.
 
     Calibration note: with the default SPARC-5 cost table a request is
     10 ms of server CPU, so a 4-host cluster (1 frontend + 3 servers)
@@ -46,35 +32,7 @@ class ServiceConfig:
     arrivals: str = "poisson"
     rate_rps: float = 125.0
     duration_s: float = 0.6
-    n_keys: int = 24
-    request_flops: float = 200e3  # 10 ms at 20 MFLOPS
-    payload_bytes: int = 256
-    deadline_s: float = 0.05
     degradation: bool = True
-    # -- admission control --------------------------------------------------
-    max_in_flight: int = 16
-    # -- retry budget -------------------------------------------------------
-    retry_budget: int = 2
-    retry_timeout_s: float = 0.015
-    retry_backoff: float = 2.0
-    retry_jitter: float = 0.25
-    # -- circuit breakers ---------------------------------------------------
-    breaker_window: int = 16
-    breaker_threshold: float = 0.5
-    breaker_cooldown_s: float = 0.06
-    breaker_probes: int = 2
-    # -- arrival shaping (bursty / diurnal) ---------------------------------
-    burst_on_s: float = 0.06
-    burst_off_s: float = 0.06
-    burst_factor: float = 3.0
-    diurnal_period_s: float = 0.3
-    diurnal_depth: float = 0.8
-    # -- latency accounting -------------------------------------------------
-    #: Reservoir size for latency quantiles: 0 (default) keeps the
-    #: plain fixed-bucket estimate; k > 0 maintains a deterministic
-    #: k-sample uniform reservoir (Algorithm R on the workload's named
-    #: RNG stream) and reads tail quantiles from exact order statistics.
-    latency_reservoir: int = 0
 
     def __post_init__(self):
         if self.arrivals not in ARRIVAL_KINDS:
@@ -82,34 +40,6 @@ class ServiceConfig:
                 f"unknown arrival process {self.arrivals!r} "
                 f"(choose from {', '.join(ARRIVAL_KINDS)})"
             )
-        for name in (
-            "rate_rps", "duration_s", "request_flops", "deadline_s",
-            "retry_timeout_s", "breaker_cooldown_s", "burst_on_s",
-            "burst_off_s", "diurnal_period_s",
-        ):
+        for name in ("rate_rps", "duration_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.n_keys < 1:
-            raise ValueError("need at least one key")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be at least 1")
-        if self.retry_budget < 0:
-            raise ValueError("retry budget cannot be negative")
-        if self.retry_backoff < 1.0:
-            raise ValueError("retry backoff must be >= 1")
-        if not 0.0 <= self.retry_jitter <= 1.0:
-            raise ValueError("retry jitter must be in [0, 1]")
-        if self.breaker_window < 1 or self.breaker_probes < 1:
-            raise ValueError("breaker window and probes must be >= 1")
-        if not 0.0 < self.breaker_threshold <= 1.0:
-            raise ValueError("breaker threshold must be in (0, 1]")
-        if self.burst_factor < 1.0:
-            raise ValueError("burst factor must be >= 1")
-        if not 0.0 <= self.diurnal_depth < 1.0:
-            raise ValueError("diurnal depth must be in [0, 1)")
-        if self.latency_reservoir < 0:
-            raise ValueError("latency reservoir cannot be negative")
-
-    def with_(self, **overrides) -> "ServiceConfig":
-        """A copy of this config with the given fields replaced."""
-        return replace(self, **overrides)

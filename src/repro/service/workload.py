@@ -5,7 +5,7 @@ messages to stationary tasks? — restaged as a service mesh under load.
 An open-loop traffic generator (arrivals keep coming whether or not
 the system keeps up — the regime where overload collapse happens)
 drives simulated user requests at a cluster whose first host is the
-frontend/ingress and whose remaining hosts serve ``n_keys`` logical
+frontend/ingress and whose remaining hosts serve ``N_KEYS`` logical
 data keys:
 
 * **MESSENGERS** — each admitted request injects a Messenger at the
@@ -65,6 +65,31 @@ service(req, key, home, dl, flops) {
 }
 """
 
+#: Logical data keys spread over the server hosts; each request reads one.
+N_KEYS = 24
+#: Server CPU per request: 10 ms at the default 20 MFLOPS.
+REQUEST_FLOPS = 200e3
+#: Request body bytes of one PVM RPC.
+PAYLOAD_BYTES = 256
+#: Per-request deadline, relative to arrival; propagated across every
+#: hop and RPC the request causes.
+DEADLINE_S = 0.05
+#: Admission control: most admitted requests in flight at once.
+MAX_IN_FLIGHT = 16
+#: Retry budget: retries per request, the first per-attempt timeout,
+#: its growth per attempt and the jitter fraction (from a named stream).
+RETRY_BUDGET = 2
+RETRY_TIMEOUT_S = 0.015
+RETRY_BACKOFF = 2.0
+RETRY_JITTER = 0.25
+#: Circuit breakers: a window of results whose error rate at or above
+#: the threshold opens the breaker for the cooldown; then half-open
+#: probes decide between closing and re-opening.
+BREAKER_WINDOW = 16
+BREAKER_THRESHOLD = 0.5
+BREAKER_COOLDOWN_S = 0.06
+BREAKER_PROBES = 2
+
 #: Latency buckets: 1 ms resolution through the deadline region, then
 #: coarse tails — fine enough for honest p50/p99/p999 under a 50 ms
 #: deadline.
@@ -96,20 +121,10 @@ class ServiceWorkload:
         self.cluster = cluster
         self.config = config if config is not None else ServiceConfig()
         self.book = RequestBook()
-        self.admission = AdmissionController(self.config.max_in_flight)
+        self.admission = AdmissionController(MAX_IN_FLIGHT)
         self.breakers: Dict[str, CircuitBreaker] = {}
         self.rng = RngRegistry(cluster.config.seed)
-        reservoir = self.config.latency_reservoir
-        self.latency_hist = Histogram(
-            "service.latency_s",
-            LATENCY_BUCKETS,
-            reservoir=reservoir,
-            rng=(
-                self.rng.stream("service.latency_reservoir")
-                if reservoir
-                else None
-            ),
-        )
+        self.latency_hist = Histogram("service.latency_s", LATENCY_BUCKETS)
         self.counts: Dict[str, int] = {}
         self._inflight: Dict[int, tuple] = {}
         self._mode: Optional[str] = None
@@ -141,32 +156,31 @@ class ServiceWorkload:
         key_rng = self.rng.stream("service.keys")
         retry_rng = self.rng.stream("service.retry")
         for rid, t in enumerate(times, start=1):
-            key = f"key{key_rng.randrange(cfg.n_keys)}"
+            key = f"key{key_rng.randrange(N_KEYS)}"
             if cfg.degradation:
                 timeouts = retry_schedule(
-                    cfg.retry_budget,
-                    cfg.retry_timeout_s,
-                    cfg.retry_backoff,
-                    cfg.retry_jitter,
+                    RETRY_BUDGET,
+                    RETRY_TIMEOUT_S,
+                    RETRY_BACKOFF,
+                    RETRY_JITTER,
                     retry_rng,
                 )
             else:
                 # No retries, no early timeout: one attempt that waits
                 # out the whole deadline.
-                timeouts = (cfg.deadline_s,)
-            yield Request(rid, t, key, t + cfg.deadline_s, timeouts)
+                timeouts = (DEADLINE_S,)
+            yield Request(rid, t, key, t + DEADLINE_S, timeouts)
 
     def breaker_for(self, target: str) -> CircuitBreaker:
         breaker = self.breakers.get(target)
         if breaker is None:
-            cfg = self.config
             breaker = CircuitBreaker(
                 self.cluster.sim,
                 target,
-                window=cfg.breaker_window,
-                threshold=cfg.breaker_threshold,
-                cooldown_s=cfg.breaker_cooldown_s,
-                probes=cfg.breaker_probes,
+                window=BREAKER_WINDOW,
+                threshold=BREAKER_THRESHOLD,
+                cooldown_s=BREAKER_COOLDOWN_S,
+                probes=BREAKER_PROBES,
                 metrics=self.cluster.metrics,
             )
             self.breakers[target] = breaker
@@ -243,10 +257,9 @@ class ServiceWorkload:
         self._mode = "messengers"
         cluster = self.cluster
         system = cluster.messengers
-        cfg = self.config
         servers = cluster.host_names[1:] or cluster.host_names[:1]
         cluster.add_node(GATEWAY_NODE, self._frontend)
-        for index in range(cfg.n_keys):
+        for index in range(N_KEYS):
             cluster.add_node(
                 f"key{index}", servers[index % len(servers)]
             )
@@ -268,7 +281,7 @@ class ServiceWorkload:
         cfg = self.config
         costs = self.cluster.costs
         service_estimate = costs.compute_seconds(
-            cfg.request_flops, cpu_scale=self.cluster.config.cpu_scale
+            REQUEST_FLOPS, cpu_scale=self.cluster.config.cpu_scale
         )
 
         @system.natives.register
@@ -292,7 +305,6 @@ class ServiceWorkload:
         cluster = self.cluster
         sim = cluster.sim
         system = cluster.messengers
-        cfg = self.config
         for request in requests:
             delay = request.t_arrive - sim.now
             if delay > 0:
@@ -312,7 +324,7 @@ class ServiceWorkload:
                     request.key,
                     GATEWAY_NODE,
                     request.deadline,
-                    cfg.request_flops,
+                    REQUEST_FLOPS,
                 ),
                 daemon=self._frontend,
             )
@@ -327,12 +339,11 @@ class ServiceWorkload:
         self._mode = "pvm"
         cluster = self.cluster
         system = cluster.mp
-        cfg = self.config
         self._server_hosts = list(cluster.host_names[1:]) or \
             list(cluster.host_names[:1])
         self._router = {
             f"key{i}": self._server_hosts[i % len(self._server_hosts)]
-            for i in range(cfg.n_keys)
+            for i in range(N_KEYS)
         }
         for host in self._server_hosts:
             self._start_server(host)
@@ -356,7 +367,7 @@ class ServiceWorkload:
         cfg = self.config
         costs = self.cluster.costs
         service_estimate = costs.compute_seconds(
-            cfg.request_flops, cpu_scale=self.cluster.config.cpu_scale
+            REQUEST_FLOPS, cpu_scale=self.cluster.config.cpu_scale
         )
         while True:
             msg = yield from ctx.recv(tag=REQ_TAG)
@@ -367,7 +378,7 @@ class ServiceWorkload:
             if cfg.degradation and ctx.now + service_estimate > deadline:
                 self.count("server_shed")
                 continue
-            yield from ctx.compute(cfg.request_flops)
+            yield from ctx.compute(REQUEST_FLOPS)
             yield from ctx.send(
                 client_tid, rid, tag=rid, deadline_s=deadline
             )
@@ -375,7 +386,6 @@ class ServiceWorkload:
     def _client_behavior(self, ctx, request: Request):
         from ..mp.buffers import PackBuffer
 
-        cfg = self.config
         for timeout in request.retry_timeouts:
             remaining = request.deadline - ctx.now
             if remaining <= 0:
@@ -386,7 +396,7 @@ class ServiceWorkload:
                 break  # no live server for this key right now
             buf = PackBuffer()
             buf.pack_object((request.rid, ctx.tid, request.deadline))
-            buf.pack_bytes(bytes(cfg.payload_bytes))
+            buf.pack_bytes(bytes(PAYLOAD_BYTES))
             yield from ctx.send(
                 tid, buf, tag=REQ_TAG, deadline_s=request.deadline
             )
@@ -453,10 +463,9 @@ class ServiceWorkload:
 
         index = len(cluster.network)
         taken = set(cluster.network.host_names)
-        prefix = cluster.config.name_prefix
-        while f"{prefix}{index}" in taken:
+        while f"host{index}" in taken:
             index += 1
-        name = f"{prefix}{index}"
+        name = f"host{index}"
         host = Host(
             cluster.sim, name, cluster.costs,
             cpu_scale=cluster.config.cpu_scale,

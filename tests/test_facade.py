@@ -42,10 +42,10 @@ class TestCluster:
         assert c.now > 0
 
     def test_shape(self):
-        c = repro.cluster(3, config=repro.ClusterConfig(name_prefix="ws"))
+        c = repro.cluster(3)
         assert len(c) == 3
-        assert c.host_names == ["ws0", "ws1", "ws2"]
-        assert c.host("ws1").name == "ws1"
+        assert c.host_names == ["host0", "host1", "host2"]
+        assert c.host("host1").name == "host1"
         assert c.n_tracks == 4  # 3 hosts + the wire
 
     def test_layers_are_lazy(self):
@@ -174,11 +174,11 @@ class TestClusterConfig:
     def test_replace_derives_a_variant(self):
         from dataclasses import replace
 
-        base = repro.ClusterConfig(n_hosts=2, name_prefix="n")
+        base = repro.ClusterConfig(n_hosts=2)
         c = repro.Cluster(config=replace(
             base, mailbox=repro.MailboxConfig(poll_interval_s=0.02)
         ))
-        assert c.host_names == ["n0", "n1"]
+        assert c.host_names == ["host0", "host1"]
         assert c.mail.config.poll_interval_s == 0.02
         assert base.mailbox is None
 
@@ -309,7 +309,7 @@ class TestTopLevelExports:
             )),
             (repro.netsim, (
                 "Network", "build_lan", "CostModel", "CacheModel",
-                "DEFAULT_COSTS", "sparc5_costs",
+                "DEFAULT_COSTS",
             )),
         ):
             for name in names:

@@ -7,22 +7,25 @@ pvm_notify, MESSENGERS checkpoint/re-dispatch recovery, Time-Warp LP
 kills, and the determinism contract: same seed + same plan ⇒ same run.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
+from repro import Cluster, ClusterConfig
+
 from repro.apps.mandelbrot.kernel import TaskGrid
 from repro.apps.mandelbrot.messengers_app import run_messengers
 from repro.apps.mandelbrot.pvm_app import run_pvm
-from repro.des import SimDeadlockError, Simulator
+from repro.des import SimDeadlockError, SimulationError, Simulator
 from repro.faults import (
     FaultEvent,
     FaultInjector,
     FaultPlan,
     FaultPlanError,
-    RetransmitPolicy,
 )
-from repro.netsim import HostCrashedError, Packet, build_lan
+from repro.messengers import build_ring
+from repro.netsim import DEFAULT_COSTS, HostCrashedError, Packet, build_lan
 
 
 def _image_hash(result):
@@ -61,10 +64,6 @@ class TestFaultPlan:
             FaultEvent(at=0.0, kind="meteor", host="h")
         with pytest.raises(ValueError):
             FaultPlan().hang("h", at=0.0, duration=0.0)
-        with pytest.raises(ValueError):
-            RetransmitPolicy(timeout_s=0.0)
-        with pytest.raises(ValueError):
-            RetransmitPolicy(backoff=0.5)
 
     def test_events_sorted_by_time(self):
         plan = FaultPlan().restart("h", at=2.0).crash("h", at=1.0)
@@ -185,12 +184,23 @@ class TestFaultPlanValidation:
             .restart("host2", at=2.0)
             .partition("host0", "host1", at=0.5)
             .heal("host0", "host1", at=0.75)
-            .retransmit(timeout_s=0.5, max_retries=7)
         )
         rebuilt = FaultPlan.from_dict(plan.to_dict())
         assert rebuilt.to_dict() == plan.to_dict()
         assert rebuilt.drop_rate("host1", "hostX") == 0.4
-        assert rebuilt.retransmit_policy.max_retries == 7
+
+    def test_from_dict_reads_older_files_retransmit_key(self):
+        # ``repro search --out`` files written before retransmit timing
+        # moved to CostModel carry ``"retransmit": null``; that replays.
+        # A non-null policy cannot be honoured and fails loudly.
+        data = FaultPlan().drop(0.1).crash("host1", at=1.0).to_dict()
+        assert "retransmit" not in data
+        old = dict(data, retransmit=None)
+        assert FaultPlan.from_dict(old).to_dict() == data
+        policy = {"timeout_s": 0.5, "backoff": 2.0, "jitter": 0.25,
+                  "max_retries": 7}
+        with pytest.raises(FaultPlanError, match="CostModel.retransmit_"):
+            FaultPlan.from_dict(dict(data, retransmit=policy))
 
 
 def _reliable_net(plan, seed=0, n_hosts=2):
@@ -278,6 +288,39 @@ class TestReliableTransport:
         # Nothing crossed the cut before the heal at t=0.5.
         assert received[0][0] > 0.5
         assert injector.counts["packets_partitioned"] > 0
+
+    @staticmethod
+    def _stranded_walker(costs=None):
+        config = ClusterConfig(
+            n_hosts=2, faults=FaultPlan().drop(1.0), costs=costs
+        )
+        c = Cluster(config=config)
+        build_ring(c.messengers, 4)
+        c.messengers.inject(
+            'w() { hop(ll = "ring"; ldir = +); }', daemon="host0",
+            node="n0",
+        )
+        with pytest.raises(SimulationError) as excinfo:
+            c.run_to_quiescence()
+        return c.network.faults.counts, str(excinfo.value)
+
+    def test_abandoned_packet_is_named_as_the_cause(self):
+        # Every packet is lost, so the hop's packet is given up after
+        # the retry budget: no host crashed, and the error says so.
+        counts, message = self._stranded_walker()
+        assert counts["retransmits"] == 12
+        assert counts["retransmits_exhausted"] == 1
+        assert "abandoned 1 packet(s) after the retry budget" in message
+        assert "retransmit_max_retries=12" in message
+        assert "host crash" not in message
+
+    def test_retransmit_timing_comes_from_the_cost_model(self):
+        costs = dataclasses.replace(
+            DEFAULT_COSTS, retransmit_max_retries=2
+        )
+        counts, message = self._stranded_walker(costs)
+        assert counts["retransmits"] == 2
+        assert "retransmit_max_retries=2" in message
 
 
 class TestCrashRestart:

@@ -9,18 +9,32 @@ quiet constructor parameter, config field or package export.
 import dataclasses
 import inspect
 
+import pytest
+
 import repro
 import repro.des
-from repro import Cluster, ClusterConfig, cluster
+import repro.faults
+import repro.netsim
+from repro import (
+    Cluster,
+    ClusterConfig,
+    FaultPlan,
+    MailboxConfig,
+    ReplicationConfig,
+    ResiliencePolicy,
+    ServiceConfig,
+    cluster,
+)
+from repro.cli import build_parser
 from repro.des import Simulator
+from repro.netsim import CostModel, build_lan
+from repro.obs import Histogram
+from repro.resilience import RestartPolicy
 
-
-def test_simulator_takes_no_parameters():
-    assert list(inspect.signature(Simulator).parameters) == []
-
-
-def test_cluster_config_fields():
-    assert [f.name for f in dataclasses.fields(ClusterConfig)] == [
+#: Every settable field of every config dataclass.  A tuning value no
+#: caller moves off its default is a module constant next to its reader.
+CONFIG_FIELDS = {
+    ClusterConfig: [
         "n_hosts",
         "topology",
         "costs",
@@ -31,8 +45,48 @@ def test_cluster_config_fields():
         "resilience",
         "mailbox",
         "service",
-        "name_prefix",
+    ],
+    MailboxConfig: ["poll_interval_s", "replication"],
+    ReplicationConfig: ["factor", "quorum"],
+    ResiliencePolicy: [
+        "detector",
+        "heartbeat_misses",
+        "phi_threshold",
+        "supervision",
+        "flow_credits",
+    ],
+    RestartPolicy: ["strategy", "delay_s", "max_restarts"],
+    ServiceConfig: ["arrivals", "rate_rps", "duration_s", "degradation"],
+}
+
+
+def test_simulator_takes_no_parameters():
+    assert list(inspect.signature(Simulator).parameters) == []
+
+
+def test_cluster_config_fields():
+    # ClusterConfig and every config it nests.
+    for config, names in CONFIG_FIELDS.items():
+        assert [f.name for f in dataclasses.fields(config)] == names
+    assert sum(len(names) for names in CONFIG_FIELDS.values()) == 26
+
+
+def test_deleted_helpers_stay_deleted():
+    # dataclasses.replace is the one way to vary a config, and retransmit
+    # timing lives only in CostModel.retransmit_*.
+    assert not hasattr(repro.faults, "RetransmitPolicy")
+    assert not hasattr(FaultPlan, "retransmit")
+    assert not hasattr(repro.netsim, "sparc5_costs")
+    assert not hasattr(CostModel, "with_")
+    assert not hasattr(ServiceConfig, "with_")
+    # One quantile estimator: the buckets.
+    assert list(inspect.signature(Histogram).parameters) == [
+        "name",
+        "buckets",
     ]
+    assert "name_prefix" not in inspect.signature(build_lan).parameters
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["bench", "throughput"])
 
 
 def test_cluster_takes_only_a_host_count_and_a_config():

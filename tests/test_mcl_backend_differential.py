@@ -10,8 +10,7 @@ drawn so that slices also end mid-loop.  The two executions must
 produce the identical Command stream (types, fields, per-yield
 ``instructions`` counts), identical final messenger/node variables, and
 identical ``frame.pc``/``frame.stack``.  Scripts that fail must fail
-with the same exception class at the same command index (error
-*message* texts are the one documented divergence).
+with the same exception class and message at the same command index.
 
 ``frame.block`` is deliberately excluded from the comparison: it is the
 closures backend's private resumption hint (-1 under the interpreter).
@@ -212,7 +211,8 @@ def execute(backend, source, budget=100_000):
 
     Commands are flattened to (type-name, field-tuple); hops/scheds/
     creates are acknowledged by simply resuming (a self-hop).  Errors
-    terminate the run and are recorded as the exception class name.
+    terminate the run and are recorded as the exception class name and
+    message.
     """
     program = compile_source(source, "p")
     # Fresh compilation artifacts per run: the differential claim is
@@ -224,7 +224,7 @@ def execute(backend, source, budget=100_000):
     mvars: dict = {}
     nvars: dict = {}
     commands = []
-    error = None
+    error = message = None
     exceeded = False
 
     def netvar(name):
@@ -246,11 +246,13 @@ def execute(backend, source, budget=100_000):
                 break
     except Exception as exc:  # noqa: BLE001 - class identity is the point
         error = type(exc).__name__
+        message = str(exc)
         # The runaway guard, as opposed to a failed operation.
         exceeded = "exceeded" in str(exc)
     return {
         "commands": commands,
         "error": error,
+        "message": message,
         "exceeded": exceeded,
         "mvars": mvars,
         "nvars": nvars,
@@ -262,6 +264,7 @@ def execute(backend, source, budget=100_000):
 def assert_same(reference, compiled, source):
     assert compiled["commands"] == reference["commands"], source
     assert compiled["error"] == reference["error"], source
+    assert compiled["message"] == reference["message"], source
     assert compiled["mvars"] == reference["mvars"], source
     assert compiled["nvars"] == reference["nvars"], source
     assert compiled["exceeded"] == reference["exceeded"], source
@@ -340,6 +343,11 @@ class TestBackendDifferential:
             ("p() { a = 0; b = 0; k0 = 0; while (k0 < 4) { "
              "k0 = k0 + 1; b = b + k0; a = a + 1; } return a + b; }",
              40, "MclRuntimeError"),
+            # The hand-off to the interpreter runs on the residual
+            # budget; the error still names the full one ("exceeded
+            # 1000", not "exceeded 2").
+            ("p() { i = 0; while (1) { i = i + 1; } }", 1000,
+             "MclRuntimeError"),
         ]
         for source, budget, error in shapes:
             reference = execute(vm.run, source, budget)

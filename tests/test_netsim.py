@@ -1,5 +1,7 @@
 """Unit tests for the physical substrate: costs, hosts, Ethernet, network."""
 
+import dataclasses
+
 import pytest
 
 from repro.des import SimDeadlockError, Simulator
@@ -47,7 +49,7 @@ class TestCacheModel:
 
 class TestCostModel:
     def test_with_overrides(self, costs):
-        modified = costs.with_(cpu_flops=1e9)
+        modified = dataclasses.replace(costs, cpu_flops=1e9)
         assert modified.cpu_flops == 1e9
         assert costs.cpu_flops != 1e9  # original untouched (frozen)
 

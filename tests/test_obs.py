@@ -87,76 +87,20 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram("bad", buckets=(2.0, 1.0))
 
-
-class TestHistogramReservoir:
-    """Reservoir-mode quantiles: O(1) memory, deterministic on named
-    RNG streams, and strictly better than bucket interpolation."""
-
-    @staticmethod
-    def _fill(reservoir, stream_name, n=500, seed=0):
-        from repro.des import RngRegistry
-
-        rng = RngRegistry(seed).stream(stream_name)
-        histogram = Histogram(
-            "lat", buckets=(0.01, 0.1, 1.0), reservoir=reservoir, rng=rng
-        )
-        feed = RngRegistry(seed).stream("feed")
-        for _ in range(n):
-            histogram.observe(feed.random())
-        return histogram
-
-    def test_requires_rng(self):
-        with pytest.raises(ValueError):
-            Histogram("lat", reservoir=64)
-        with pytest.raises(ValueError):
-            Histogram("lat", reservoir=-1)
-
-    def test_same_seed_same_quantiles(self):
-        first = self._fill(64, "obs.reservoir")
-        second = self._fill(64, "obs.reservoir")
-        for q in (0.5, 0.9, 0.99):
-            assert first.quantile(q) == second.quantile(q)
-
-    def test_distinct_streams_are_independent(self):
-        # Different stream names draw different replacement choices, so
-        # the sampled reservoirs (and hence quantiles) diverge even on
-        # the same root seed and identical observations.
-        first = self._fill(64, "obs.reservoir")
-        other = self._fill(64, "obs.other")
-        assert any(
-            first.quantile(q) != other.quantile(q)
-            for q in (0.5, 0.9, 0.99)
-        )
-
-    def test_small_samples_are_exact(self):
-        from repro.des import RngRegistry
-
-        rng = RngRegistry(0).stream("obs.reservoir")
-        histogram = Histogram("lat", reservoir=100, rng=rng)
-        for value in (4.0, 1.0, 3.0, 2.0):
+    def test_quantile_interpolates_inside_the_bucket(self):
+        histogram = Histogram("lat", buckets=(1.0, 2.0, 4.0))
+        assert histogram.quantile(0.5) == 0.0  # empty
+        for value in (0.5, 1.5, 1.5, 3.0):
             histogram.observe(value)
-        assert histogram.quantile(0.0) == 1.0
+        # Rank 1 of 4 fills the first bucket, interpolated from 0.
+        assert histogram.quantile(0.25) == pytest.approx(1.0)
+        # Rank 2 is halfway through the two samples in (1, 2].
+        assert histogram.quantile(0.5) == pytest.approx(1.5)
+        assert histogram.quantile(1.0) == pytest.approx(4.0)
+        histogram.observe(100.0)  # +inf bucket: the estimate saturates
         assert histogram.quantile(1.0) == 4.0
-        assert histogram.quantile(0.5) == pytest.approx(2.5)
-
-    def test_reservoir_beats_bucket_interpolation(self):
-        # Cubed-uniform draws (exact p50 = 0.125): linear interpolation
-        # inside the wide (0.1, 1.0] bucket badly overestimates skewed
-        # data, while the reservoir tracks the true order statistics.
-        from repro.des import RngRegistry
-
-        rng = RngRegistry(0).stream("obs.reservoir")
-        with_reservoir = Histogram(
-            "lat", buckets=(0.01, 0.1, 1.0), reservoir=256, rng=rng
-        )
-        no_reservoir = Histogram("lat", buckets=(0.01, 0.1, 1.0))
-        feed = RngRegistry(0).stream("feed")
-        for _ in range(2_000):
-            value = feed.random() ** 3
-            with_reservoir.observe(value)
-            no_reservoir.observe(value)
-        assert abs(with_reservoir.quantile(0.5) - 0.125) < 0.02
-        assert abs(no_reservoir.quantile(0.5) - 0.125) > 0.04
+        with pytest.raises(ValueError):
+            histogram.quantile(1.5)
 
 
 class TestCounterFamily:

@@ -67,11 +67,6 @@ class TestResiliencePolicy:
             ))
         with pytest.raises(ValueError):
             ResilienceSuite(network, ResiliencePolicy(
-                detector="phi", max_silence_s=0.01,
-                heartbeat_interval_s=0.02,
-            ))
-        with pytest.raises(ValueError):
-            ResilienceSuite(network, ResiliencePolicy(
                 detector="phi", phi_threshold=-1.0,
             ))
 
