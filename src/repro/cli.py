@@ -471,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--procs", type=int, default=4,
                        help="worker processors (default 4)")
     stats.add_argument("--opcodes", action="store_true",
-                       help="also count VM instructions per opcode")
+                       help="also count VM instructions per opcode "
+                            "(runs the reference interpreter loop)")
     stats.add_argument("--trace", default="mandelbrot_trace.json",
                        help="Chrome trace output path")
     stats.set_defaults(func=_cmd_stats)

@@ -212,34 +212,10 @@ class Timeout(Event):
     returns once only background events remain in the queue.  Periodic
     service loops (failure-detector heartbeats, invariant-check ticks)
     use them so they can run forever without preventing quiescence.
+    Built only by :meth:`Simulator.timeout`.
     """
 
     __slots__ = ("delay", "daemon")
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        delay: float,
-        value: Any = None,
-        daemon: bool = False,
-    ):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        # Inline Event.__init__ + Simulator.schedule: a timeout is born
-        # triggered, so the generic pending-state machinery is bypassed.
-        # ``_defused`` is deliberately not set: it is only ever read
-        # behind a failed-event check, and a timeout never fails.
-        self.sim = sim
-        self.callbacks = _NO_WAITERS
-        self._value = value
-        self._ok = True
-        self.delay = delay
-        self.daemon = daemon
-        eid = sim._eid
-        sim._eid = eid + 1
-        _heappush(sim._queue, (sim._now + delay, NORMAL, eid, daemon, self))
-        if not daemon:
-            sim._fg_pending += 1
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"
@@ -437,8 +413,11 @@ class Simulator:
         ``daemon=True`` makes it a background timeout that never keeps
         the simulation alive (see :class:`Timeout`).
         """
-        # Hottest allocation site in the kernel: build the Timeout here
-        # without a second __init__ frame (mirrors Timeout.__init__).
+        # Hottest allocation site in the kernel: the one place a Timeout
+        # is built, without an __init__ frame.  A timeout is born
+        # triggered, so Event.__init__ and schedule() are bypassed;
+        # ``_defused`` is deliberately not set: it is only ever read
+        # behind a failed-event check, and a timeout never fails.
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         timeout = _new_event(Timeout)

@@ -33,21 +33,10 @@ __all__ = ["Process", "Initialize"]
 
 
 class Initialize(Event):
-    """Internal event that kicks off a newly created process."""
+    """Internal event that kicks off a newly created process (built
+    only by :class:`Process`)."""
 
     __slots__ = ()
-
-    def __init__(self, sim, process: "Process"):
-        self.sim = sim
-        self._value = None
-        self._ok = True
-        self._defused = False
-        self.callbacks = [process._resume_cb]
-        # Inline of ``sim.schedule(self, priority=URGENT)``.
-        eid = sim._eid
-        sim._eid = eid + 1
-        _heappush(sim._queue, (sim._now, URGENT, eid, False, self))
-        sim._fg_pending += 1
 
 
 class Process(Event):
@@ -88,9 +77,10 @@ class Process(Event):
         resume_cb = self._resume
         self._resume_cb = resume_cb
         self._park_idx = -1
-        # Inline of ``Initialize(sim, self)``: one Initialize event is
-        # built per spawn, so the class-call + ``__init__`` frames were
-        # measurable when layers spawn processes by the thousand.
+        # The one place an Initialize is built, scheduled URGENT at
+        # once: one per spawn, so a class call + ``__init__`` frame
+        # would be measurable when layers spawn processes by the
+        # thousand.
         init = _new_event(Initialize)
         init.sim = sim
         init._value = None

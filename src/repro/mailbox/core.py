@@ -31,7 +31,7 @@ import copy
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
 
 from ..des import SimulationError, Store

@@ -36,6 +36,7 @@ from .mcl.bytecode import (
     SchedCommand,
 )
 from .mcl import closures
+from .mcl.vm import OPCODE_NAMES
 from .messenger import Messenger
 from .natives import NativeEnv
 
@@ -320,9 +321,11 @@ class Daemon:
             for category, seconds in charges.items():
                 metrics.charge(category, seconds)
             if opcounts:
-                metrics.counter_family(
+                family = metrics.counter_family(
                     "mcl.vm.instructions", "opcode"
-                ).merge(opcounts)
+                )
+                for code, count in opcounts.items():
+                    family.inc(OPCODE_NAMES[code], count)
 
         if isinstance(command, DoneCommand):
             self.stats.messengers_finished += 1

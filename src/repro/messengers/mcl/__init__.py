@@ -14,7 +14,10 @@ Two execution backends share the bytecode:
   without native calls or network-variable reads keep their
   variables in Python locals.  Every daemon runs it.
 * :mod:`.vm` — the integer-opcode interpreter, kept as the reference
-  implementation the closures backend is tested against.
+  implementation the closures backend is tested against.  It is the one
+  loop that interprets one instruction at a time, so it is also the one
+  that counts opcodes: a slice that asks for per-opcode counts runs
+  through it under either backend.
 
 The two are bit-identical by contract — same ``Command`` stream, same
 per-yield ``instructions`` counts, same frame state, same golden trace
@@ -34,7 +37,7 @@ from .bytecode import (
     Program,
     SchedCommand,
 )
-from .compiler import CompileError, compile_all, compile_function, compile_source
+from .compiler import CompileError, compile_function, compile_source
 from .lexer import LexError, Token, tokenize
 from .parser import ParseError, parse, parse_function
 from .vm import Frame, MclRuntimeError, run
@@ -56,7 +59,6 @@ __all__ = [
     "SchedCommand",
     "Script",
     "Token",
-    "compile_all",
     "compile_function",
     "compile_source",
     "parse",

@@ -48,24 +48,19 @@ Contract with the rest of the system (the bit-identity guarantee):
   propagate raw exactly as in the interpreter.
 
 Error paths that terminate the Messenger (no Command is returned,
-nothing is charged) raise the interpreter's error: a read of an unbound
-variable, a failed ``[]`` or index assignment, and the
-``max_instructions`` runaway guard carry its exact message.  One
-deliberate, documented divergence remains: a failed arithmetic
-operation or comparison is reported as ``"<program>: <python error>"``
-without the interpreter's ``"+ failed:"``-style prefix, because a fused
-expression does not know which of its operators raised (a failed unary
-minus is wrapped the same way, where the interpreter lets its
-``TypeError`` through).  The runaway guard stops on the interpreter's
-exact instruction: a block the remaining budget cannot cover is handed
-to :func:`.vm.run`, and its error is re-raised naming the full budget.
+nothing is charged) raise the interpreter's error with its exact
+message: a read of an unbound variable, a failed ``[]`` or index
+assignment, a failed arithmetic operation, comparison or unary minus
+(``"<program>: <python error>"``), and the ``max_instructions`` runaway
+guard.  The runaway guard stops on the interpreter's exact instruction:
+a block the remaining budget cannot cover is handed to :func:`.vm.run`,
+and its error is re-raised naming the full budget.
 
 This is the backend every daemon runs
 (:data:`repro.messengers.daemon.VM_RUN`); the interpreter stays as the
 reference implementation the differential and golden tests compare it
-against.  When per-opcode counts are requested the shared reference
-path (:func:`.vm._run_counting`) runs instead, exactly as in the
-interpreter.
+against, and it is the one loop that counts opcodes: a slice that asks
+for per-opcode counts runs through :func:`.vm.run`.
 """
 
 from __future__ import annotations
@@ -119,7 +114,6 @@ from .vm import (
     _build_dispatch,
     _create_command,
     _nav_name,
-    _run_counting,
     run as _vm_run,
 )
 
@@ -1026,19 +1020,13 @@ def run(
 
     Drop-in replacement for :func:`.vm.run` — same signature, same
     Command stream, same ``instructions`` accounting, same frame state
-    at every yield.  When ``opcounts`` is requested, the shared
-    reference counting path runs instead (identical to the
-    interpreter's behaviour for instrumented runs).
+    at every yield.  When ``opcounts`` is requested, the slice runs
+    through :func:`.vm.run`, the one loop that counts opcodes.
     """
     if opcounts is not None:
-        return _run_counting(
-            frame,
-            messenger_vars,
-            node_vars,
-            netvar,
-            call_native,
-            max_instructions,
-            opcounts,
+        return _vm_run(
+            frame, messenger_vars, node_vars, netvar, call_native,
+            max_instructions, opcounts,
         )
 
     program = frame.program

@@ -8,10 +8,10 @@ ordinary native calls which execute atomically.
 
 Two fast-path services live here as well:
 
-* **program cache** — :func:`compile_source`/:func:`compile_all` are
-  memoised on the SHA-256 of the source text (plus function name), so
-  repeated experiment replications over the same scripts parse and
-  compile exactly once per process and share one VM dispatch table.
+* **program cache** — :func:`compile_source` is memoised on the
+  SHA-256 of the source text plus function name, so repeated
+  experiment replications over the same scripts parse and compile
+  exactly once per process and share one VM dispatch table.
   The cache is a bounded :class:`LruCache` whose hit/miss counters are
   exported as the ``mcl_cache_hits``/``mcl_cache_misses`` gauges (see
   :meth:`~repro.messengers.system.MessengersSystem.compile`);
@@ -145,21 +145,6 @@ def compile_source(
         program = compile_function(function, source=source)
         _program_cache.put(key, program)
     return program
-
-
-def compile_all(source: str) -> dict:
-    """Compile every function in a script; returns name → Program
-    (memoised like :func:`compile_source`)."""
-    key = _source_key(source, "*all*")
-    programs = _program_cache.get(key)
-    if programs is None:
-        script = parse(source)
-        programs = {
-            name: compile_function(fn, source=source)
-            for name, fn in script.functions.items()
-        }
-        _program_cache.put(key, programs)
-    return programs
 
 
 def compile_function(

@@ -11,21 +11,17 @@ critical sections be written as plain statement sequences.
 Frames are cheaply cloneable; cloning is how ``hop`` over multiple links
 and ``create(ALL)`` replicate an in-flight computation (§2.1).
 
-Two dispatch paths execute the same bytecode:
-
-* the **fast path** (default) first resolves a program's instructions to
-  a precomputed table of ``(int_opcode, arg)`` pairs — LOAD/STORE are
-  split by scope at build time (messenger- vs node-variable membership
-  is static per program), BINOP/UNOP are specialised per operator — and
-  then interprets with ``pc``/``stack`` held in loop locals;
-* the **counting path** runs whenever per-opcode counts are requested
-  (``opcounts`` is not None): it is the original string-keyed loop,
-  kept verbatim both as the diagnostic instrumentation path and as the
-  reference implementation the determinism tests compare against.
-
-Both paths execute identical instruction sequences and charge identical
-``instructions`` counts, so simulated interpretation time — and with it
-every figure in the paper reproduction — is bit-identical either way.
+One loop executes the bytecode.  It first resolves a program's
+instructions to a precomputed table of ``(int_opcode, arg)`` pairs —
+LOAD/STORE are split by scope at build time (messenger- vs
+node-variable membership is static per program), BINOP/UNOP are
+specialised per operator — and then interprets with ``pc``/``stack``
+held in loop locals.  When per-opcode counts are requested
+(``opcounts`` is not None) the same loop also counts each instruction
+by its int opcode; :data:`OPCODE_NAMES` maps those back to the bytecode
+names the ``mcl.vm.instructions{opcode}`` metric is labelled with.
+Counting never changes what executes or the ``instructions`` charged,
+so simulated interpretation time is bit-identical either way.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ from .bytecode import (
     UNNAMED_KIND,
 )
 
-__all__ = ["Frame", "MclRuntimeError", "run"]
+__all__ = ["Frame", "MclRuntimeError", "OPCODE_NAMES", "run"]
 
 
 class MclRuntimeError(RuntimeError):
@@ -85,17 +81,6 @@ class Frame:
         """Duplicate for replication; stack contents are shallow-copied
         (at preemption points the stack holds at most small scalars)."""
         return Frame(self.program, self.pc, list(self.stack), self.block)
-
-    def push(self, value: Any) -> None:
-        self.stack.append(value)
-
-    def pop(self) -> Any:
-        try:
-            return self.stack.pop()
-        except IndexError:
-            raise MclRuntimeError(
-                f"stack underflow at pc={self.pc} in {self.program.name}"
-            ) from None
 
 
 def _truthy(value: Any) -> bool:
@@ -225,6 +210,21 @@ _SIMPLE_CODES = {
     "CREATE": _OP_CREATE,
 }
 
+#: Int opcode -> the bytecode name it executes: the label of
+#: ``mcl.vm.instructions{opcode}`` for the counts :func:`run` keeps.
+OPCODE_NAMES = {
+    _OP_LOAD_M: "LOAD",
+    _OP_LOAD_N: "LOAD",
+    _OP_STORE_M: "STORE",
+    _OP_STORE_N: "STORE",
+    _OP_NEG: "UNOP",
+    _OP_NOT: "UNOP",
+    _OP_RET_NONE: "RET",
+    _OP_RET_VALUE: "RET",
+    **{code: "BINOP" for code in _BINOP_CODES.values()},
+    **{code: name for name, code in _SIMPLE_CODES.items()},
+}
+
 
 def _build_dispatch(program: Program) -> list:
     """Resolve ``program`` to ``(int_opcode, arg)`` pairs, cached on the
@@ -291,27 +291,16 @@ def run(
     max_instructions:
         Runaway-script guard.
     opcounts:
-        Optional ``{opcode: count}`` dict, incremented per executed
-        instruction (feeds ``mcl.vm.instructions{opcode}`` metrics; only
-        requested when the attached registry opts into opcode counting,
-        because the per-instruction increment is measurable overhead).
-        When supplied, execution takes the reference counting path.
+        Optional ``{int_opcode: count}`` dict, incremented per executed
+        instruction (:data:`OPCODE_NAMES` labels the keys for the
+        ``mcl.vm.instructions{opcode}`` metric; only requested when the
+        attached registry opts into opcode counting, because the
+        per-instruction increment is measurable overhead).
 
     Returns the :class:`Command` describing why execution stopped, with
     ``instructions`` set to the number of bytecode instructions executed
     (the daemon charges interpretation time from it).
     """
-    if opcounts is not None:
-        return _run_counting(
-            frame,
-            messenger_vars,
-            node_vars,
-            netvar,
-            call_native,
-            max_instructions,
-            opcounts,
-        )
-
     program = frame.program
     code = program._dispatch
     if code is None:
@@ -358,6 +347,8 @@ def run(
         op, arg = code[pc]
         pc += 1
         executed += 1
+        if opcounts is not None:
+            opcounts[op] = opcounts.get(op, 0) + 1
 
         if op == op_load_m:
             try:
@@ -376,14 +367,14 @@ def run(
                 stack[-1] = stack[-1] + right
             except (TypeError, IndexError, KeyError) as error:
                 frame.pc = pc
-                raise MclRuntimeError(f"+ failed: {error}") from error
+                raise MclRuntimeError(f"{program.name}: {error}") from error
         elif op == op_lt:
             right = pop()
             try:
                 stack[-1] = 1 if stack[-1] < right else 0
             except TypeError as error:
                 frame.pc = pc
-                raise MclRuntimeError(f"< failed: {error}") from error
+                raise MclRuntimeError(f"{program.name}: {error}") from error
         elif op == op_store_m:
             messenger_vars[arg] = pop()
         elif op == op_jf:
@@ -397,14 +388,14 @@ def run(
                 stack[-1] = stack[-1] * right
             except (TypeError, IndexError, KeyError) as error:
                 frame.pc = pc
-                raise MclRuntimeError(f"* failed: {error}") from error
+                raise MclRuntimeError(f"{program.name}: {error}") from error
         elif op == op_sub:
             right = pop()
             try:
                 stack[-1] = stack[-1] - right
             except (TypeError, IndexError, KeyError) as error:
                 frame.pc = pc
-                raise MclRuntimeError(f"- failed: {error}") from error
+                raise MclRuntimeError(f"{program.name}: {error}") from error
         elif op == op_jmp:
             pc = arg
         elif op == op_mod:
@@ -418,7 +409,7 @@ def run(
                 KeyError,
             ) as error:
                 frame.pc = pc
-                raise MclRuntimeError(f"% failed: {error}") from error
+                raise MclRuntimeError(f"{program.name}: {error}") from error
         elif op == op_div:
             right = pop()
             left = stack[-1]
@@ -429,7 +420,7 @@ def run(
                     stack[-1] = left / right
             except (TypeError, ZeroDivisionError) as error:
                 frame.pc = pc
-                raise MclRuntimeError(f"/ failed: {error}") from error
+                raise MclRuntimeError(f"{program.name}: {error}") from error
         elif op == op_eq:
             right = pop()
             stack[-1] = 1 if stack[-1] == right else 0
@@ -442,21 +433,21 @@ def run(
                 stack[-1] = 1 if stack[-1] > right else 0
             except TypeError as error:
                 frame.pc = pc
-                raise MclRuntimeError(f"> failed: {error}") from error
+                raise MclRuntimeError(f"{program.name}: {error}") from error
         elif op == op_le:
             right = pop()
             try:
                 stack[-1] = 1 if stack[-1] <= right else 0
             except TypeError as error:
                 frame.pc = pc
-                raise MclRuntimeError(f"<= failed: {error}") from error
+                raise MclRuntimeError(f"{program.name}: {error}") from error
         elif op == op_ge:
             right = pop()
             try:
                 stack[-1] = 1 if stack[-1] >= right else 0
             except TypeError as error:
                 frame.pc = pc
-                raise MclRuntimeError(f">= failed: {error}") from error
+                raise MclRuntimeError(f"{program.name}: {error}") from error
         elif op == op_index:
             right = pop()
             try:
@@ -491,7 +482,11 @@ def run(
                 args = []
             push(call_native(name, args))
         elif op == _OP_NEG:
-            stack[-1] = -stack[-1]
+            try:
+                stack[-1] = -stack[-1]
+            except TypeError as error:
+                frame.pc = pc
+                raise MclRuntimeError(f"{program.name}: {error}") from error
         elif op == _OP_NOT:
             stack[-1] = 0 if stack[-1] else 1
         elif op == _OP_LOADNET:
@@ -571,115 +566,3 @@ def _create_command(template, pop, executed: int) -> CreateCommand:
         all_daemons=template.all_daemons,
     )
 
-
-def _run_counting(
-    frame: Frame,
-    messenger_vars: dict,
-    node_vars: dict,
-    netvar: Callable[[str], Any],
-    call_native: Callable[[str, list], Any],
-    max_instructions: int,
-    opcounts: dict,
-) -> Command:
-    """Reference interpreter: string-keyed dispatch with per-opcode
-    counting.  Byte-identical semantics to the fast path (the
-    determinism tests in ``tests/test_perf_determinism.py`` hold the two
-    to that)."""
-    program = frame.program
-    instructions = program.instructions
-    node_names = program.node_vars
-    executed = 0
-
-    while True:
-        if executed >= max_instructions:
-            raise _budget_exceeded(program.name, max_instructions)
-        try:
-            instr = instructions[frame.pc]
-        except IndexError:
-            # Fell off the end of the program: implicit return.
-            return DoneCommand(instructions=executed)
-        frame.pc += 1
-        executed += 1
-        op = instr.op
-        opcounts[op] = opcounts.get(op, 0) + 1
-
-        if op == "CONST":
-            frame.push(instr.arg)
-        elif op == "LOAD":
-            name = instr.arg
-            scope = node_vars if name in node_names else messenger_vars
-            try:
-                frame.push(scope[name])
-            except KeyError:
-                raise MclRuntimeError(
-                    f"{program.name}: variable {name!r} used before "
-                    "assignment"
-                ) from None
-        elif op == "STORE":
-            name = instr.arg
-            scope = node_vars if name in node_names else messenger_vars
-            scope[name] = frame.pop()
-        elif op == "LOADNET":
-            frame.push(netvar(instr.arg))
-        elif op == "BINOP":
-            right = frame.pop()
-            left = frame.pop()
-            frame.push(_binop(instr.arg, left, right))
-        elif op == "STORE_INDEX":
-            value = frame.pop()
-            index = frame.pop()
-            container = frame.pop()
-            try:
-                container[_coerce_index(index)] = value
-            except (TypeError, IndexError, KeyError) as error:
-                raise MclRuntimeError(
-                    f"index assignment failed: {error}"
-                ) from error
-        elif op == "UNOP":
-            value = frame.pop()
-            if instr.arg == "-":
-                frame.push(-value)
-            elif instr.arg == "!":
-                frame.push(0 if _truthy(value) else 1)
-            else:
-                raise MclRuntimeError(f"unknown unary op {instr.arg!r}")
-        elif op == "JMP":
-            frame.pc = instr.arg
-        elif op == "JF":
-            if not _truthy(frame.pop()):
-                frame.pc = instr.arg
-        elif op == "POP":
-            frame.pop()
-        elif op == "CALL":
-            name, argc = instr.arg
-            args = [frame.pop() for _ in range(argc)][::-1]
-            frame.push(call_native(name, args))
-        elif op == "RET":
-            value = frame.pop() if instr.arg == "value" else None
-            return DoneCommand(instructions=executed, value=value)
-        elif op == "SCHED":
-            time_value = frame.pop()
-            if not isinstance(time_value, (int, float)):
-                raise MclRuntimeError(
-                    f"M_sched_time_{instr.arg}: non-numeric time "
-                    f"{time_value!r}"
-                )
-            return SchedCommand(
-                instructions=executed, kind=instr.arg, time=float(time_value)
-            )
-        elif op in ("HOP", "DELETE"):
-            template = instr.arg
-            ll = (
-                _nav_name(frame.pop()) if template.ll_kind == EXPR else "*"
-            )
-            ln = (
-                _nav_name(frame.pop()) if template.ln_kind == EXPR else "*"
-            )
-            ctor = HopCommand if op == "HOP" else DeleteCommand
-            return ctor(
-                instructions=executed, ln=ln, ll=ll, ldir=template.ldir
-            )
-        elif op == "CREATE":
-            return _create_command(instr.arg, frame.pop, executed)
-        else:  # pragma: no cover - Program() validates opcodes
-            raise MclRuntimeError(f"unknown opcode {op!r}")

@@ -353,10 +353,12 @@ class MetricsRegistry:
         metrics keep exact totals regardless.
     opcode_counts:
         Record per-opcode VM instruction counts
-        (``mcl.vm.instructions{opcode}``).  This is the one
-        instrumentation point inside the VM's per-instruction loop, so
-        it costs more than every other hook combined; off by default,
-        switched on by ``python -m repro stats --opcodes`` and tests.
+        (``mcl.vm.instructions{opcode}``).  Counted slices run through
+        the reference interpreter loop (:func:`repro.messengers.mcl.vm.run`)
+        instead of the compiled closures, one increment per
+        instruction, so it costs more than every other hook combined;
+        off by default, switched on by ``python -m repro stats
+        --opcodes`` and tests.
     """
 
     def __init__(

@@ -338,7 +338,6 @@ class ServiceWorkload:
             raise RuntimeError("a ServiceWorkload runs exactly once")
         self._mode = "pvm"
         cluster = self.cluster
-        system = cluster.mp
         self._server_hosts = list(cluster.host_names[1:]) or \
             list(cluster.host_names[:1])
         self._router = {

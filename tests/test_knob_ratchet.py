@@ -27,6 +27,7 @@ from repro import (
 )
 from repro.cli import build_parser
 from repro.des import Simulator
+from repro.messengers import mcl
 from repro.netsim import CostModel, build_lan
 from repro.obs import Histogram
 from repro.resilience import RestartPolicy
@@ -87,6 +88,10 @@ def test_deleted_helpers_stay_deleted():
     assert "name_prefix" not in inspect.signature(build_lan).parameters
     with pytest.raises(SystemExit):
         build_parser().parse_args(["bench", "throughput"])
+    # One MCL interpreter loop, which also counts opcodes.
+    assert not hasattr(mcl.vm, "_run_counting")
+    assert not hasattr(mcl.Frame, "push")
+    assert not hasattr(mcl, "compile_all")
 
 
 def test_cluster_takes_only_a_host_count_and_a_config():

@@ -3,14 +3,17 @@
 Hypothesis generates random small MCL programs — arithmetic, variable
 traffic, short-circuit logic, arrays, native calls, network variables,
 hops, scheds, creates, bounded ``while``/``for`` loops nested up to
-three deep with ``break``/``continue``, reads of a never-assigned name
-and names first bound inside a loop — and runs each under both VM
+three deep with ``break``/``continue``, reads of a never-assigned name,
+names first bound inside a loop and arithmetic, comparisons and unary
+minus that fail on a string or a zero divisor — and runs each under both VM
 backends from identical starting state, with ``max_instructions``
 drawn so that slices also end mid-loop.  The two executions must
 produce the identical Command stream (types, fields, per-yield
 ``instructions`` counts), identical final messenger/node variables, and
 identical ``frame.pc``/``frame.stack``.  Scripts that fail must fail
 with the same exception class and message at the same command index.
+A run that counts opcodes must be the same run, with the same
+per-opcode histogram under either backend.
 
 ``frame.block`` is deliberately excluded from the comparison: it is the
 closures backend's private resumption hint (-1 under the interpreter).
@@ -28,8 +31,9 @@ from repro.messengers.mcl.vm import Frame
 #: Messenger variables every generated program starts from.
 VAR_POOL = ("a", "b", "c")
 
-#: Values the native stub and netvar resolver hand back.
-NET_VALUES = {"$address": 7, "$last": "ring"}
+#: Values the netvar resolver hands back, keyed as ``LOADNET`` names
+#: them (without the ``$``).
+NET_VALUES = {"address": 7, "last": "ring"}
 
 
 def _native_env():
@@ -127,6 +131,8 @@ def statements(draw, depth=0, loops=0):
         )
     if loops:
         choices += ("break", "continue", "unbound", "fresh")
+    if depth < LOOP_DEPTH:
+        choices += ("failing",)
     kind = draw(st.sampled_from(choices))
     if kind == "assign":
         var = draw(st.sampled_from(VAR_POOL))
@@ -163,6 +169,14 @@ def statements(draw, depth=0, loops=0):
     if kind == "unbound":
         # ``zz`` is never assigned: reading it fails, at the read.
         return f"if ({draw(expressions())}) {{ a = a + zz; }}"
+    if kind == "failing":
+        # An operation that fails on a string or a zero divisor, when
+        # its guard holds.
+        var = draw(st.sampled_from(VAR_POOL))
+        operation = draw(st.sampled_from(
+            [f"{var} - $last", f"$last < {var}", f"{var} / 0", "-$last"]
+        ))
+        return f"if ({draw(expressions())}) {{ a = {operation}; }}"
     if kind == "fresh":
         # ``t`` is first bound inside a loop body.
         return f"t = {draw(expressions())}; b = b + t;"
@@ -206,13 +220,14 @@ def programs(draw):
 # -- differential harness ----------------------------------------------------
 
 
-def execute(backend, source, budget=100_000):
+def execute(backend, source, budget=100_000, opcounts=None):
     """Run ``source`` to completion; return every observable output.
 
     Commands are flattened to (type-name, field-tuple); hops/scheds/
     creates are acknowledged by simply resuming (a self-hop).  Errors
     terminate the run and are recorded as the exception class name and
-    message.
+    message.  ``opcounts``, when given, is passed to every slice and
+    returned filled.
     """
     program = compile_source(source, "p")
     # Fresh compilation artifacts per run: the differential claim is
@@ -237,7 +252,7 @@ def execute(backend, source, budget=100_000):
         for _ in range(500):
             command = vm_run_result = backend(
                 frame, mvars, nvars, netvar, call_native,
-                max_instructions=budget,
+                max_instructions=budget, opcounts=opcounts,
             )
             commands.append(
                 (type(command).__name__, dataclasses.astuple(command))
@@ -258,6 +273,7 @@ def execute(backend, source, budget=100_000):
         "nvars": nvars,
         "pc": frame.pc,
         "stack": list(frame.stack),
+        "opcounts": opcounts,
     }
 
 
@@ -284,11 +300,18 @@ class TestBackendDifferential:
     )
     @settings(max_examples=200, deadline=None)
     def test_closures_matches_interp(self, source, budget):
-        assert_same(
-            execute(vm.run, source, budget),
-            execute(closures.run, source, budget),
-            source,
-        )
+        reference = execute(vm.run, source, budget)
+        assert_same(reference, execute(closures.run, source, budget), source)
+        # Counting opcodes changes nothing, and both backends count the
+        # same histogram.
+        counted = execute(vm.run, source, budget, opcounts={})
+        assert_same(reference, counted, source)
+        compiled = execute(closures.run, source, budget, opcounts={})
+        assert_same(reference, compiled, source)
+        assert compiled["opcounts"] == counted["opcounts"], source
+        if reference["error"] is None:
+            charged = sum(command[1][0] for command in counted["commands"])
+            assert sum(counted["opcounts"].values()) == charged, source
 
     def test_runaway_guard_stops_on_the_same_instruction(self):
         """The shrunk Hypothesis find: an endless loop cut off by
@@ -348,6 +371,15 @@ class TestBackendDifferential:
             # 1000", not "exceeded 2").
             ("p() { i = 0; while (1) { i = i + 1; } }", 1000,
              "MclRuntimeError"),
+            # Failed arithmetic, comparison and unary minus: one message,
+            # "p: <python error>", from both backends.
+            ("p() { a = 1; a = a - $last; return a; }", 100_000,
+             "MclRuntimeError"),
+            ("p() { a = 1; a = $last < a; return a; }", 100_000,
+             "MclRuntimeError"),
+            ("p() { a = 1; a = a / 0; return a; }", 100_000,
+             "MclRuntimeError"),
+            ("p() { a = -$last; return a; }", 100_000, "MclRuntimeError"),
         ]
         for source, budget, error in shapes:
             reference = execute(vm.run, source, budget)

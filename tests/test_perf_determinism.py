@@ -244,9 +244,18 @@ class TestGoldenLedgers:
         )
 
 
+def _labelled(opcounts: dict) -> dict:
+    """An int-keyed ``opcounts`` histogram under its metric labels."""
+    labelled: dict = {}
+    for code, count in opcounts.items():
+        name = vm.OPCODE_NAMES[code]
+        labelled[name] = labelled.get(name, 0) + count
+    return labelled
+
+
 class TestVMFastPathIdentity:
-    """The int-opcode fast dispatch and the preserved string-dispatch
-    counting loop are the same interpreter."""
+    """Counting opcodes runs the one reference loop and changes nothing
+    it computes; the closures backend hands counted slices to it."""
 
     SOURCE = """
     f(n) {
@@ -261,14 +270,21 @@ class TestVMFastPathIdentity:
     }
     """
 
-    def _run(self, opcounts):
+    #: The loop's histogram at n=500, captured before the counting
+    #: loop was folded into ``vm.run``.
+    HISTOGRAM = {
+        "BINOP": 3550, "CONST": 2051, "JF": 1001, "JMP": 500,
+        "LOAD": 3552, "RET": 1, "STORE": 1051,
+    }
+
+    def _run(self, backend, opcounts):
         from repro.messengers.mcl.compiler import compile_source
-        from repro.messengers.mcl.vm import Frame, run
 
         program = compile_source(self.SOURCE, "f")
         variables = {"n": 500}
-        command = run(
-            Frame(program),
+        frame = vm.Frame(program)
+        command = backend(
+            frame,
             variables,
             {},
             lambda name: 0,
@@ -276,17 +292,86 @@ class TestVMFastPathIdentity:
             max_instructions=1_000_000,
             opcounts=opcounts,
         )
-        return command, variables
+        return command, variables, frame
 
     def test_fast_matches_counting(self):
-        fast_cmd, fast_vars = self._run(opcounts=None)
+        plain_cmd, plain_vars, plain_frame = self._run(vm.run, None)
         counts: dict = {}
-        slow_cmd, slow_vars = self._run(opcounts=counts)
-        assert type(fast_cmd) is type(slow_cmd)
-        assert fast_cmd.instructions == slow_cmd.instructions
-        assert fast_vars == slow_vars
-        # The per-opcode histogram accounts for every instruction.
-        assert sum(counts.values()) == slow_cmd.instructions
+        counted_cmd, counted_vars, counted_frame = self._run(vm.run, counts)
+        assert counted_cmd == plain_cmd
+        assert counted_vars == plain_vars
+        assert (counted_frame.pc, counted_frame.stack) == (
+            plain_frame.pc, plain_frame.stack
+        )
+        assert counted_cmd.instructions == 11_706
+        assert sum(counts.values()) == counted_cmd.instructions
+        assert _labelled(counts) == self.HISTOGRAM
+
+    def test_closures_counts_through_the_reference_loop(self):
+        reference: dict = {}
+        self._run(vm.run, reference)
+        counts: dict = {}
+        command, _, _ = self._run(closures.run, counts)
+        assert counts == reference
+        assert command.instructions == 11_706
+
+
+#: The ring-walker program of the repository benchmark's ``ring_hops``
+#: workload, copied verbatim.
+RING_WALKER = """
+walker(start, steps) {
+    for (k = 0; k < steps; k++) {
+        hop(ll = "ring"; ldir = +);
+    }
+    arrive(start);
+}
+"""
+
+
+class TestOpcodeHistogramPins:
+    """Per-opcode histograms, captured before the counting loop was
+    folded into ``vm.run``, that counting must keep reproducing."""
+
+    def test_fig5_messengers(self):
+        registry = MetricsRegistry(opcode_counts=True)
+        run_messengers(TaskGrid(320, 8), 4, metrics=registry)
+        family = registry.counter_family("mcl.vm.instructions", "opcode")
+        assert family.values == {
+            "BINOP": 68, "CALL": 196, "CONST": 68, "CREATE": 1,
+            "HOP": 132, "JF": 68, "JMP": 64, "LOAD": 196,
+            "LOADNET": 132, "POP": 64, "RET": 4, "STORE": 132,
+        }
+
+    def test_ring_walker(self):
+        from repro import Cluster, ClusterConfig
+        from repro.messengers import build_ring
+
+        registry = MetricsRegistry(opcode_counts=True)
+        cluster = Cluster(config=ClusterConfig(
+            n_hosts=4, topology="ring", metrics=registry,
+        ))
+        system = cluster.messengers
+        ring = build_ring(system, 16)
+        arrived = {}
+
+        @system.natives.register
+        def arrive(env, start):
+            arrived[start] = env.node.name
+            return 0
+
+        for start in (0, 5, 11):
+            node = ring[f"n{start}"]
+            system.inject(
+                RING_WALKER, (start, 4), daemon=node.daemon,
+                node=node.name,
+            )
+        cluster.run_to_quiescence()
+        assert arrived == {0: "n4", 5: "n9", 11: "n15"}
+        family = registry.counter_family("mcl.vm.instructions", "opcode")
+        assert family.values == {
+            "BINOP": 27, "CALL": 3, "CONST": 27, "HOP": 12, "JF": 15,
+            "JMP": 12, "LOAD": 45, "POP": 3, "RET": 3, "STORE": 15,
+        }
 
 
 class TestInstrumentationIdentity:
