@@ -16,7 +16,7 @@ Run:  python examples/network_explorer.py
 """
 
 import repro
-from repro.messengers import build_from_text
+from repro.messengers import Shell, build_from_text
 
 CAMPUS = """
 # an irregular campus network: three buildings, bridged
@@ -75,7 +75,7 @@ def main() -> None:
 
     distances = {}
 
-    @c.natives.register
+    @c.messengers.natives.register
     def record(env, node_name, dist):
         distances[node_name] = min(
             dist, distances.get(node_name, float("inf"))
@@ -107,7 +107,7 @@ def main() -> None:
           f"{nodes['gateway'].variables['leader']}")
 
     # -- inspect with the shell -----------------------------------------------
-    shell = c.shell()
+    shell = Shell(c.messengers)
     print()
     print("shell> stats")
     print(shell.execute("stats"))

@@ -24,12 +24,12 @@ def main() -> None:
     c = repro.cluster(4)
 
     # 2. Native-mode functions are plain Python callables.
-    @c.natives.register
+    @c.messengers.natives.register
     def greet(env):
         env.node_vars["greeting"] = f"hello from {env.daemon.name}"
         return 0
 
-    @c.natives.register
+    @c.messengers.natives.register
     def collect(env, text):
         env.node_vars.setdefault("greetings", []).append(text)
         return 0
@@ -69,12 +69,12 @@ def main() -> None:
     )
     c.run_to_quiescence()
 
-    central = c.daemon("host0").init_node
+    central = c.messengers.daemon("host0").init_node
     print("--- collected at", central.display_name, "on host0 ---")
     for text in sorted(central.variables["greetings"]):
         print(" ", text)
 
-    print(f"--- {c.logical.node_count()} logical nodes, "
+    print(f"--- {c.messengers.logical.node_count()} logical nodes, "
           f"simulated time {c.now * 1e3:.2f} ms ---")
 
 

@@ -12,6 +12,7 @@ Pass ``-i`` for a real interactive prompt afterwards.
 import sys
 
 import repro
+from repro.messengers import Shell
 
 SESSION = """
 help
@@ -34,7 +35,7 @@ gvt
 
 def main() -> None:
     c = repro.cluster(3)
-    shell = c.shell()
+    shell = Shell(c.messengers)
 
     for line in SESSION.strip().splitlines():
         print(f"messengers[{shell.current_daemon}]> {line}")

@@ -10,37 +10,15 @@ All three produce pixel-identical images; they differ in simulated
 execution time, which is what Figures 4–7 plot.
 """
 
-from .kernel import (
-    BYTES_PER_PIXEL,
-    Block,
-    FLOPS_PER_ITERATION,
-    PAPER_COLORS,
-    PAPER_REGION,
-    TaskGrid,
-    block_flops,
-    compute_block,
-)
-from .messengers_app import (
-    MANAGER_WORKER_SCRIPT,
-    MessengersMandelbrotResult,
-    run_messengers,
-)
-from .pvm_app import PvmMandelbrotResult, run_pvm
-from .sequential import SequentialResult, run_sequential
+from .kernel import Block, TaskGrid
+from .messengers_app import MANAGER_WORKER_SCRIPT, run_messengers
+from .pvm_app import run_pvm
+from .sequential import run_sequential
 
 __all__ = [
-    "BYTES_PER_PIXEL",
     "Block",
-    "FLOPS_PER_ITERATION",
     "MANAGER_WORKER_SCRIPT",
-    "MessengersMandelbrotResult",
-    "PAPER_COLORS",
-    "PAPER_REGION",
-    "PvmMandelbrotResult",
-    "SequentialResult",
     "TaskGrid",
-    "block_flops",
-    "compute_block",
     "run_messengers",
     "run_pvm",
     "run_sequential",

@@ -23,7 +23,6 @@ __all__ = [
     "PAPER_REGION",
     "PAPER_COLORS",
     "FLOPS_PER_ITERATION",
-    "BYTES_PER_PIXEL",
     "Block",
     "TaskGrid",
     "compute_block",
@@ -40,9 +39,6 @@ PAPER_COLORS = 512
 #: magnitude test) — the unit from which compute time is charged.
 FLOPS_PER_ITERATION = 10.0
 
-#: Pixels travel as 16-bit color indices (512 colors fit comfortably).
-BYTES_PER_PIXEL = 2
-
 
 @dataclass(frozen=True)
 class Block:
@@ -57,11 +53,6 @@ class Block:
     @property
     def pixels(self) -> int:
         return self.rows * self.cols
-
-    @property
-    def result_bytes(self) -> int:
-        """Wire size of this block's computed colors."""
-        return self.pixels * BYTES_PER_PIXEL
 
     #: Wire size of a task descriptor (block index + geometry).
     DESCRIPTOR_BYTES = 40
@@ -136,6 +127,7 @@ class TaskGrid:
 _BLOCK_CACHE: dict = {}
 
 
+# The memo is process-global; tests reset it to force a recompute.
 def clear_block_cache() -> None:
     """Drop memoized block results (mainly for tests)."""
     _BLOCK_CACHE.clear()

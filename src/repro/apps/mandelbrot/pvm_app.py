@@ -166,7 +166,7 @@ def run_pvm(
     manager_tid = system.spawn(_manager, grid, n_workers, results)
     system.run_until_task(manager_tid)
     elapsed = cluster.now
-    cluster.run()  # let worker-kill interrupts settle
+    cluster.sim.run()  # let worker-kill interrupts settle
     stats = {}
     if cluster.injector is not None:
         stats["faults"] = cluster.fault_stats

@@ -12,33 +12,18 @@ All four produce numerically identical results (up to float
 associativity); simulated times reproduce Figure 12's comparison.
 """
 
-from .kernel import (
-    BYTES_PER_ELEMENT,
-    block_multiply_add,
-    block_of,
-    make_matrices,
-    multiply_flops,
-    multiply_working_set,
-    set_block,
-)
+from .kernel import make_matrices, multiply_flops, multiply_working_set
 from .messengers_app import (
     DISTRIBUTE_A_SCRIPT,
-    MessengersMatmulResult,
     ROTATE_B_SCRIPT,
     run_messengers,
 )
-from .pvm_app import PvmMatmulResult, run_pvm
-from .sequential import SequentialMatmulResult, run_blocked, run_naive
+from .pvm_app import run_pvm
+from .sequential import run_blocked, run_naive
 
 __all__ = [
-    "BYTES_PER_ELEMENT",
     "DISTRIBUTE_A_SCRIPT",
-    "MessengersMatmulResult",
-    "PvmMatmulResult",
     "ROTATE_B_SCRIPT",
-    "SequentialMatmulResult",
-    "block_multiply_add",
-    "block_of",
     "make_matrices",
     "multiply_flops",
     "multiply_working_set",
@@ -46,5 +31,4 @@ __all__ = [
     "run_messengers",
     "run_naive",
     "run_pvm",
-    "set_block",
 ]

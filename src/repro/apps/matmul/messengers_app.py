@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...des import Simulator
-from ...messengers import MessengersSystem, build_grid, grid_node_name
-from ...netsim import CostModel, DEFAULT_COSTS, build_lan
+from ...facade import Cluster, ClusterConfig
+from ...messengers import build_grid, grid_node_name
+from ...netsim import CostModel, DEFAULT_COSTS
 from .kernel import (
     block_multiply_add,
     block_of,
@@ -91,9 +91,9 @@ def run_messengers(
     if n % m:
         raise ValueError(f"matrix size {n} not divisible by grid {m}")
     s = n // m
-    sim = Simulator()
-    network = build_lan(sim, m * m, costs, cpu_scale=cpu_scale)
-    system = MessengersSystem(network)
+    system = Cluster(config=ClusterConfig(
+        n_hosts=m * m, costs=costs, cpu_scale=cpu_scale
+    )).messengers
     nodes = build_grid(system, m)
 
     flops = multiply_flops(s)

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...des import Simulator
-from ...mp import MessagePassingSystem, PackBuffer
-from ...netsim import CostModel, DEFAULT_COSTS, build_lan
+from ...facade import Cluster, ClusterConfig
+from ...mp import PackBuffer
+from ...netsim import CostModel, DEFAULT_COSTS
 from .kernel import block_multiply_add, block_of, multiply_flops, multiply_working_set
 
 __all__ = ["PvmMatmulResult", "run_pvm"]
@@ -88,9 +88,10 @@ def run_pvm(
     if n % m:
         raise ValueError(f"matrix size {n} not divisible by grid {m}")
     s = n // m
-    sim = Simulator()
-    network = build_lan(sim, m * m, costs, cpu_scale=cpu_scale)
-    system = MessagePassingSystem(network)
+    cluster = Cluster(config=ClusterConfig(
+        n_hosts=m * m, costs=costs, cpu_scale=cpu_scale
+    ))
+    system = cluster.mp
 
     out: dict = {}
     # Pre-distribution: allocate tids first so every worker knows its
@@ -109,7 +110,7 @@ def run_pvm(
 
     # Reserve tids in deterministic order by spawning placeholders that
     # wait for the tid map before running the real body.
-    ready = sim.event()
+    ready = cluster.sim.event()
 
     def _gated(ctx, i, j, blocks):
         yield ready
@@ -129,5 +130,5 @@ def run_pvm(
     for (i, j), block in out.items():
         c[i * s : (i + 1) * s, j * s : (j + 1) * s] = block
     return PvmMatmulResult(
-        c=c, seconds=sim.now, m=m, s=s, messages=network.delivered
+        c=c, seconds=cluster.now, m=m, s=s, messages=cluster.network.delivered
     )

@@ -10,14 +10,9 @@ cell state through node variables, stepping in virtual-time lockstep,
 starving, and spawning new Messengers at runtime.
 """
 
-from .creatures import CREATURE_SCRIPT, SwarmResult, run_swarm
-from .world import GRASS_MAX, GROW_PER_TICK, World
+from .creatures import CREATURE_SCRIPT, run_swarm
 
 __all__ = [
     "CREATURE_SCRIPT",
-    "GRASS_MAX",
-    "GROW_PER_TICK",
-    "SwarmResult",
-    "World",
     "run_swarm",
 ]

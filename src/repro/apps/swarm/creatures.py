@@ -19,9 +19,8 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 
-from ...des import Simulator
-from ...messengers import MessengersSystem
-from ...netsim import CostModel, DEFAULT_COSTS, build_lan
+from ...facade import Cluster, ClusterConfig
+from ...netsim import CostModel, DEFAULT_COSTS
 from .world import World
 
 __all__ = ["CREATURE_SCRIPT", "SwarmResult", "run_swarm"]
@@ -89,8 +88,9 @@ def run_swarm(
     costs: CostModel = DEFAULT_COSTS,
 ) -> SwarmResult:
     """Run the grazing simulation; fully deterministic for a seed."""
-    sim = Simulator()
-    system = MessengersSystem(build_lan(sim, n_hosts, costs))
+    system = Cluster(
+        config=ClusterConfig(n_hosts=n_hosts, costs=costs)
+    ).messengers
     world = World(system, rows, cols)
     result = SwarmResult(ticks=ticks, initial_population=population)
     natives = system.natives

@@ -83,13 +83,3 @@ class World:
             name: node.variables["visits"]
             for name, node in self.nodes.items()
         }
-
-    def grass_map(self, vt: float) -> list:
-        """Row-major grid of grass levels (for rendering)."""
-        return [
-            [
-                self.current_grass(self.cell(r, c), vt)
-                for c in range(self.cols)
-            ]
-            for r in range(self.rows)
-        ]

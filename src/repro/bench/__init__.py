@@ -6,9 +6,8 @@ print the regenerated tables/figures and assert the paper's qualitative
 claims.
 """
 
-from .faults_experiments import PAPER_LOSS_RATES, run_loss_sweep
+from .faults_experiments import run_loss_sweep
 from .mandelbrot_experiments import (
-    MandelbrotSweep,
     PAPER_GRIDS,
     PAPER_PROCESSOR_COUNTS,
     best_case_comparison,
@@ -17,82 +16,51 @@ from .mandelbrot_experiments import (
 from .matmul_experiments import (
     FIG12A_CPU_SCALE,
     FIG12B_CPU_SCALE,
-    MatmulSweep,
     PAPER_BLOCK_SIZES_2X2,
     PAPER_BLOCK_SIZES_3X3,
     blocking_speedup_model,
     run_block_size_sweep,
 )
-from .conversations_experiments import (
-    run_conversations_bench,
-    run_conversations_scenario,
-)
-from .mailbox_experiments import run_mailbox_bench, run_mailbox_scenario
+from .conversations_experiments import run_conversations_bench
+from .mailbox_experiments import run_mailbox_bench
 from .perf_experiments import run_perf_report
-from .service_experiments import (
-    run_degradation_search,
-    run_service_bench,
-    run_service_scenario,
-)
-from .reporting import Figure, Series, ascii_chart, format_table
+from .service_experiments import run_service_bench, run_service_scenario
+from .reporting import Figure, format_table
 from .resilience_experiments import (
-    HEARTBEAT_MISS_SWEEP,
-    PHI_THRESHOLD_SWEEP,
     run_detection_sweep,
     run_recovery_comparison,
 )
 from .scale_experiments import run_scale_bench
 from .shapes import (
-    ShapeViolation,
     assert_faster_beyond,
     assert_roughly_monotone,
-    assert_speedup_at_least,
     crossover_interval,
 )
-from .sweep import (
-    Experiment,
-    Replication,
-    run_replications,
-    seed_sweep_experiment,
-)
+from .sweep import Replication, seed_sweep_experiment
 
 __all__ = [
-    "Experiment",
     "Replication",
     "FIG12A_CPU_SCALE",
     "FIG12B_CPU_SCALE",
     "Figure",
-    "HEARTBEAT_MISS_SWEEP",
-    "MandelbrotSweep",
-    "MatmulSweep",
     "PAPER_BLOCK_SIZES_2X2",
     "PAPER_BLOCK_SIZES_3X3",
     "PAPER_GRIDS",
-    "PAPER_LOSS_RATES",
     "PAPER_PROCESSOR_COUNTS",
-    "PHI_THRESHOLD_SWEEP",
-    "Series",
-    "ShapeViolation",
-    "ascii_chart",
     "assert_faster_beyond",
     "assert_roughly_monotone",
-    "assert_speedup_at_least",
     "best_case_comparison",
     "blocking_speedup_model",
     "crossover_interval",
     "format_table",
     "run_block_size_sweep",
     "run_conversations_bench",
-    "run_conversations_scenario",
     "run_detection_sweep",
     "run_figure",
     "run_loss_sweep",
-    "run_degradation_search",
     "run_mailbox_bench",
-    "run_mailbox_scenario",
     "run_perf_report",
     "run_recovery_comparison",
-    "run_replications",
     "run_scale_bench",
     "run_service_bench",
     "run_service_scenario",

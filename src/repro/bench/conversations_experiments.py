@@ -27,6 +27,8 @@ guard allows 25% regression, same contract as the other perf suites.
 
 from __future__ import annotations
 
+from .sweep import timed_repeats
+
 __all__ = [
     "BASELINE",
     "run_conversations_bench",
@@ -332,28 +334,14 @@ def run_conversations_bench(repeats: int = 3) -> dict:
     asserted identical across repeats (it cannot legally vary) and the
     minimum wall clock is kept.
     """
-    import gc
-    import time
-
     scenarios: dict[str, dict] = {}
     total_ops = 0
     total_wall = 0.0
     for name, knobs in SCENARIOS.items():
-        best_wall = float("inf")
-        result = None
-        for _ in range(max(1, repeats)):
-            gc.collect()
-            start = time.perf_counter()
-            run = run_conversations_scenario(**knobs)
-            wall = time.perf_counter() - start
-            best_wall = min(best_wall, wall)
-            if result is not None and run != result:
-                raise AssertionError(
-                    f"conversations scenario {name!r} was not "
-                    "deterministic across repeats"
-                )
-            result = run
-        result["wall_s"] = round(best_wall, 6)
+        result, best_wall = timed_repeats(
+            f"conversations scenario {name!r}", repeats,
+            run_conversations_scenario, **knobs,
+        )
         scenarios[name] = result
         total_ops += result["delivered"] + result["mail_counts"].get(
             "read", 0

@@ -22,6 +22,8 @@ Two kinds of numbers come out, with different portability:
 
 from __future__ import annotations
 
+from .sweep import timed_repeats
+
 __all__ = ["BASELINE", "run_mailbox_bench", "run_mailbox_scenario"]
 
 #: Scenario knobs, in report order.
@@ -177,28 +179,14 @@ def run_mailbox_bench(repeats: int = 3) -> dict:
     asserted identical across repeats (it cannot legally vary) and the
     minimum wall clock is kept.
     """
-    import gc
-    import time
-
     scenarios: dict[str, dict] = {}
     total_ops = 0
     total_wall = 0.0
     for name, knobs in SCENARIOS.items():
-        best_wall = float("inf")
-        result = None
-        for _ in range(max(1, repeats)):
-            gc.collect()
-            start = time.perf_counter()
-            run = run_mailbox_scenario(**knobs)
-            wall = time.perf_counter() - start
-            best_wall = min(best_wall, wall)
-            if result is not None and run != result:
-                raise AssertionError(
-                    f"mailbox scenario {name!r} was not deterministic "
-                    "across repeats"
-                )
-            result = run
-        result["wall_s"] = round(best_wall, 6)
+        result, best_wall = timed_repeats(
+            f"mailbox scenario {name!r}", repeats, run_mailbox_scenario,
+            **knobs,
+        )
         scenarios[name] = result
         total_ops += result["delivered"] + result["counts"].get("read", 0)
         total_wall += best_wall

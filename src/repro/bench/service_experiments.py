@@ -35,6 +35,8 @@ Two kinds of numbers come out, with different portability:
 
 from __future__ import annotations
 
+from .sweep import timed_repeats
+
 __all__ = [
     "BASELINE",
     "SCENARIOS",
@@ -408,29 +410,15 @@ def run_service_bench(
     blob also records the brownout-vs-collapse verdict per system and
     the degradation-invariant schedule search.
     """
-    import gc
-    import time
-
     scenarios: dict[str, dict] = {}
     total_requests = 0
     total_wall = 0.0
     for system in ("messengers", "pvm"):
         for name, knobs in SCENARIOS.items():
-            best_wall = float("inf")
-            result = None
-            for _ in range(max(1, repeats)):
-                gc.collect()
-                start = time.perf_counter()
-                run = run_service_scenario(system, **knobs)
-                wall = time.perf_counter() - start
-                best_wall = min(best_wall, wall)
-                if result is not None and run != result:
-                    raise AssertionError(
-                        f"service scenario {system}/{name} was not "
-                        "deterministic across repeats"
-                    )
-                result = run
-            result["wall_s"] = round(best_wall, 6)
+            result, best_wall = timed_repeats(
+                f"service scenario {system}/{name}", repeats,
+                run_service_scenario, system, **knobs,
+            )
             scenarios[f"{system}/{name}"] = result
             total_requests += sum(result["outcomes"].values())
             total_wall += best_wall

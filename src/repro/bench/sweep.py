@@ -22,7 +22,9 @@ counters, result-array digests), not simulator objects.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
+import time
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Any, Callable, Sequence
@@ -33,6 +35,7 @@ __all__ = [
     "run_replications",
     "mandelbrot_loss_replication",
     "seed_sweep_experiment",
+    "timed_repeats",
 ]
 
 
@@ -42,6 +45,29 @@ class Replication:
 
     rid: Any
     kwargs: dict = field(default_factory=dict)
+
+
+def timed_repeats(label: str, repeats: int, task: Callable, *args, **kwargs):
+    """Run ``task`` ``repeats`` times; return ``(result, best_wall_s)``.
+
+    The simulated result cannot legally vary, so every repeat must
+    equal the first; the result is returned with ``wall_s`` set to the
+    fastest run (rounded to the microsecond).
+    """
+    best_wall = float("inf")
+    result = None
+    for _ in range(max(1, repeats)):
+        gc.collect()
+        start = time.perf_counter()
+        run = task(*args, **kwargs)
+        best_wall = min(best_wall, time.perf_counter() - start)
+        if result is not None and run != result:
+            raise AssertionError(
+                f"{label} was not deterministic across repeats"
+            )
+        result = run
+    result["wall_s"] = round(best_wall, 6)
+    return result, best_wall
 
 
 def _invoke(job):

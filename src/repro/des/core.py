@@ -180,13 +180,6 @@ class Event:
         sim._fg_pending += 1
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (for chaining)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
     # -- composition -------------------------------------------------------
 
     def __or__(self, other: "Event") -> "AnyOf":
@@ -475,6 +468,7 @@ class Simulator:
         if not daemon:
             self._fg_pending += 1
 
+    # Kept for code that steps a bare Simulator by hand; no layer needs it.
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if queue is empty."""
         queue = self._queue

@@ -108,11 +108,6 @@ class Resource:
         """Number of slots currently held."""
         return len(self._users)
 
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._waiting)
-
     def request(self) -> _Request:
         """Request a slot; the returned event fires when granted."""
         return _Request(self)
@@ -260,14 +255,6 @@ class Store:
         """Remove and return the oldest item via the returned event."""
         return _Get(self)
 
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking get: ``(True, item)`` or ``(False, None)``."""
-        if self._items:
-            item = self._pop_item()
-            self._admit_putters()
-            return True, item
-        return False, None
-
     def cancel_get(self, get_event: Event) -> bool:
         """Withdraw a still-pending ``get``; returns False if it already
         fired (or was never ours).
@@ -327,6 +314,7 @@ class Store:
         return get
 
 
+# Kept for parity with SimPy's store family; no layer here uses it.
 class PriorityStore(Store):
     """A store whose ``get`` returns the smallest item (heap order).
 
@@ -344,6 +332,7 @@ class PriorityStore(Store):
         super().__init__(sim, capacity)
         self._items: list = []  # heap, not deque
 
+    # The heap-order counterpart of reading a FIFO store's ``items[0]``.
     def peek(self) -> Any:
         """Smallest stored item without removing it."""
         if not self._items:

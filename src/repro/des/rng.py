@@ -32,10 +32,6 @@ class RngRegistry:
             self._streams[name] = random.Random(mixed)
         return self._streams[name]
 
-    def reset(self) -> None:
-        """Forget all streams (they will be re-created from scratch)."""
-        self._streams.clear()
-
     def __repr__(self) -> str:
         return (
             f"<RngRegistry seed={self.root_seed} "

@@ -40,7 +40,7 @@ the cluster::
     c = repro.cluster(config=repro.ClusterConfig(n_hosts=8, metrics=True))
     c.inject(SCRIPT)
     c.run_to_quiescence()
-    print(c.report())
+    print(format_breakdown(c.breakdown()))  # repro.obs.format_breakdown
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import Any, Callable, Optional, Union
 from .des import Simulator
 from .mailbox import MailboxConfig
 from .netsim import CostModel, DEFAULT_COSTS, Network, build_lan
-from .obs import MetricsRegistry, cost_breakdown, format_breakdown
+from .obs import MetricsRegistry, cost_breakdown
 
 __all__ = ["Cluster", "ClusterConfig", "cluster"]
 
@@ -278,18 +278,8 @@ class Cluster:
     # -- cluster shape -------------------------------------------------------
 
     @property
-    def hosts(self):
-        return self.network.hosts
-
-    @property
     def host_names(self) -> list[str]:
         return self.network.host_names
-
-    def host(self, name: str):
-        return self.network.host(name)
-
-    def __len__(self) -> int:
-        return len(self.network)
 
     @property
     def now(self) -> float:
@@ -366,11 +356,6 @@ class Cluster:
 
     # -- MESSENGERS-side delegates ------------------------------------------
 
-    @property
-    def natives(self):
-        """Native-function registry (``@c.natives.register``)."""
-        return self.messengers.natives
-
     def inject(self, script, **kwargs):
         """Inject a Messenger (see :meth:`MessengersSystem.inject`)."""
         return self.messengers.inject(script, **kwargs)
@@ -378,14 +363,6 @@ class Cluster:
     def run_to_quiescence(self) -> float:
         """Run until no Messenger can make progress; returns sim.now."""
         return self.messengers.run_to_quiescence()
-
-    def daemon(self, name: str):
-        return self.messengers.daemon(name)
-
-    @property
-    def logical(self):
-        """The persistent logical network."""
-        return self.messengers.logical
 
     def add_node(self, name: str, daemon: Optional[str] = None):
         """Create a named logical node (a mailbox endpoint, a landmark).
@@ -397,18 +374,6 @@ class Cluster:
         if home not in self.messengers.daemons:
             raise KeyError(f"unknown daemon {home!r}")
         return self.messengers.logical.create_node(name, home)
-
-    def shell(self):
-        """An interactive/programmatic shell bound to this cluster."""
-        from .messengers import Shell
-
-        return Shell(self.messengers)
-
-    def tracer(self, capacity: Optional[int] = None):
-        """Attach and return a :class:`~repro.messengers.Tracer`."""
-        from .messengers import Tracer
-
-        return Tracer.attach(self.messengers, capacity)
 
     # -- mailbox delegates ---------------------------------------------------
 
@@ -435,25 +400,7 @@ class Cluster:
         """Mailbox lifecycle counters (empty dict when never armed)."""
         return dict(self._mail.counts) if self._mail is not None else {}
 
-    # -- message-passing-side delegates -------------------------------------
-
-    def spawn(self, behavior: Callable, *args, **kwargs) -> int:
-        """Start a message-passing task (see
-        :meth:`MessagePassingSystem.spawn`)."""
-        return self.mp.spawn(behavior, *args, **kwargs)
-
-    # -- driving -------------------------------------------------------------
-
-    def run(self, until: Any = None) -> Any:
-        """Drive the simulation (delegates to the simulator)."""
-        return self.sim.run(until=until)
-
     # -- observability -------------------------------------------------------
-
-    @property
-    def n_tracks(self) -> int:
-        """Cost-ledger timelines: every host plus the shared wire."""
-        return len(self.network) + 1
 
     def snapshot(self) -> dict:
         """Metric snapshot (empty dict when metrics are off)."""
@@ -480,11 +427,8 @@ class Cluster:
                 "cluster was built without metrics; set metrics=True on "
                 "its ClusterConfig to enable the cost ledger"
             )
-        return cost_breakdown(self.metrics, self.sim.now, self.n_tracks)
-
-    def report(self, title: str = "virtual-time cost breakdown") -> str:
-        """ASCII rendering of :meth:`breakdown`."""
-        return format_breakdown(self.breakdown(), title=title)
+        # One timeline per host plus one for the shared wire.
+        return cost_breakdown(self.metrics, self.sim.now, len(self.network) + 1)
 
     def __repr__(self) -> str:
         layers = []

@@ -19,10 +19,9 @@ seed=s))`` and the ``repro chaos`` CLI command.
 """
 
 from .injector import FaultInjector
-from .plan import FaultEvent, FaultPlan, FaultPlanError
+from .plan import FaultPlan, FaultPlanError
 
 __all__ = [
-    "FaultEvent",
     "FaultInjector",
     "FaultPlan",
     "FaultPlanError",

@@ -318,6 +318,7 @@ class FaultPlan:
                 self._corrupt.items(), key=repr)],
         }
 
+    # Replays a `repro search` reproducer (CLI help and README name it).
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
         """Rebuild a plan serialized by :meth:`to_dict` (validating as

@@ -12,7 +12,7 @@ the one ``M_sched_time_abs``/``M_sched_time_dlt`` use — lives in
 :mod:`repro.messengers.vtime`.)
 """
 
-from .base import Event, LpSpec, RunStats, VirtualTimeKernelError
+from .base import Event, VirtualTimeKernelError
 from .conservative import ConservativeKernel
 from .optimistic import TimeWarpKernel
 from .workloads import phold, pipeline, skewed_load
@@ -20,8 +20,6 @@ from .workloads import phold, pipeline, skewed_load
 __all__ = [
     "ConservativeKernel",
     "Event",
-    "LpSpec",
-    "RunStats",
     "TimeWarpKernel",
     "VirtualTimeKernelError",
     "phold",

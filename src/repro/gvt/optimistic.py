@@ -157,6 +157,7 @@ class TimeWarpKernel:
         """Final (or current) state of one LP."""
         return self._lps[name].spec.state
 
+    # Crash injection for the library kernel; the daemons crash via faults.
     def kill_lp(self, name: str) -> None:
         """Crash one LP mid-run (fault injection).
 

@@ -6,7 +6,6 @@ churn.  See DESIGN.md row 14 and the "Mailboxes & churn" section of the
 README."""
 
 from .core import (
-    LIFECYCLE,
     Mail,
     Mailbox,
     MailboxConfig,
@@ -17,7 +16,6 @@ from .invariants import NoDoubleRead, NoLostMail
 from .natives import register_mailbox_natives
 
 __all__ = [
-    "LIFECYCLE",
     "Mail",
     "Mailbox",
     "MailboxConfig",

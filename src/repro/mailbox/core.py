@@ -167,9 +167,6 @@ class Mailbox:
     def unseen(self) -> list[Mail]:
         return [m for m in self.mails if m.stage < _STAGE["seen"]]
 
-    def unread(self) -> list[Mail]:
-        return [m for m in self.mails if m.stage < _STAGE["read"]]
-
     def get(self, mail_id: int) -> Mail:
         return self._mails[mail_id]
 

@@ -7,13 +7,11 @@ Layered exactly as §2.1 describes: the *physical network*
 persistent *logical network* (:class:`LogicalNetwork`) navigated by
 :class:`Messenger` objects executing MCL scripts
 (:mod:`repro.messengers.mcl`), coordinated in virtual time
-(:class:`ConservativeVirtualTime`).
+(:mod:`repro.messengers.vtime`).
 
 Quick use::
 
-    sim = Simulator()
-    net = build_lan(sim, 4)
-    system = MessengersSystem(net)
+    system = repro.cluster(4).messengers
     system.inject('''
         hello() {
             create(ALL);
@@ -23,67 +21,42 @@ Quick use::
     system.run_to_quiescence()
 """
 
-from .daemon import Daemon, DaemonStats
-from .daemon_graph import DaemonLink, DaemonNetwork
-from .logical import (
-    ANY,
-    BACKWARD,
-    EITHER,
-    FORWARD,
-    LogicalLink,
-    LogicalNetwork,
-    LogicalNode,
-    UNNAMED,
-    VIRTUAL,
-)
+from .daemon import Daemon
+from .daemon_graph import DaemonNetwork
+from .logical import ANY, LogicalNetwork, LogicalNode
 from .messenger import Messenger
-from .natives import NativeEnv, NativeRegistry, UnknownNativeError
+from .natives import UnknownNativeError
 from .netbuilder import (
     TopologyError,
     build_from_text,
     build_grid,
     build_ring,
-    build_star,
     build_torus,
     grid_node_name,
 )
 from .shell import Shell, ShellError
-from .trace import TraceEvent, Tracer, to_dot, to_networkx
+from .trace import TraceEvent, Tracer
 from .system import MessengersSystem
-from .vtime import ConservativeVirtualTime, VirtualTimeError
+from .vtime import VirtualTimeError
 
 __all__ = [
     "ANY",
-    "BACKWARD",
-    "ConservativeVirtualTime",
     "Daemon",
-    "DaemonLink",
     "DaemonNetwork",
-    "DaemonStats",
-    "EITHER",
-    "FORWARD",
-    "LogicalLink",
     "LogicalNetwork",
     "LogicalNode",
     "Messenger",
     "MessengersSystem",
-    "NativeEnv",
-    "NativeRegistry",
     "Shell",
     "ShellError",
     "TopologyError",
     "TraceEvent",
     "Tracer",
-    "UNNAMED",
     "UnknownNativeError",
-    "VIRTUAL",
     "VirtualTimeError",
     "build_from_text",
     "build_grid",
     "build_ring",
-    "build_star",
     "build_torus",
     "grid_node_name",
-    "to_dot",
-    "to_networkx",
 ]

@@ -297,19 +297,6 @@ class LogicalNetwork:
                     removed.append(node)
         return removed
 
-    def delete_node(self, node: LogicalNode) -> None:
-        """Remove a node and all of its links."""
-        links = node._links
-        for link in list(links) if links else ():
-            if link in link.src.links:
-                link.src.links.remove(link)
-            if link in link.dst.links:
-                link.dst.links.remove(link)
-        if links:
-            links.clear()
-        if node.uid in self._nodes:
-            self._forget(node)
-
     # -- queries --------------------------------------------------------------
 
     @property
@@ -356,9 +343,6 @@ class LogicalNetwork:
         if daemon is None:
             return list(bucket.values())
         return [n for n in bucket.values() if n.daemon == daemon]
-
-    def contains(self, node: LogicalNode) -> bool:
-        return node.uid in self._nodes
 
     def _match_name(self, pattern: str) -> list[LogicalNode]:
         """All nodes whose :meth:`LogicalNode.matches` accepts ``pattern``

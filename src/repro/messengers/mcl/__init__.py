@@ -29,40 +29,28 @@ from .ast import Script
 from .bytecode import (
     Command,
     CreateCommand,
-    CreateItemSpec,
     DeleteCommand,
     DoneCommand,
     HopCommand,
-    Instr,
     Program,
     SchedCommand,
 )
-from .compiler import CompileError, compile_function, compile_source
-from .lexer import LexError, Token, tokenize
-from .parser import ParseError, parse, parse_function
+from .compiler import compile_source
+from .parser import parse
 from .vm import Frame, MclRuntimeError, run
 
 __all__ = [
     "Command",
-    "CompileError",
     "CreateCommand",
-    "CreateItemSpec",
     "DeleteCommand",
     "DoneCommand",
     "Frame",
     "HopCommand",
-    "Instr",
-    "LexError",
     "MclRuntimeError",
-    "ParseError",
     "Program",
     "SchedCommand",
     "Script",
-    "Token",
-    "compile_function",
     "compile_source",
     "parse",
-    "parse_function",
     "run",
-    "tokenize",
 ]

@@ -217,23 +217,5 @@ class Program:
     def __len__(self) -> int:
         return len(self.instructions)
 
-    @property
-    def code_bytes(self) -> int:
-        """Rough transport size of the bytecode.
-
-        Only used for statistics: per the paper's shared-filesystem
-        design decision, code is *not* carried on hops (§4).
-        """
-        return 8 * len(self.instructions)
-
-    def disassemble(self) -> str:
-        """Human-readable listing (for tests and debugging)."""
-        lines = [f"; {self.name}({', '.join(self.params)})"]
-        if self.node_vars:
-            lines.append(f"; node vars: {', '.join(sorted(self.node_vars))}")
-        for index, instr in enumerate(self.instructions):
-            lines.append(f"{index:4d}  {instr!r}")
-        return "\n".join(lines)
-
     def __repr__(self) -> str:
         return f"<Program {self.name!r} ({len(self.instructions)} instrs)>"

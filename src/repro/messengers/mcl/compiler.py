@@ -45,7 +45,6 @@ from .vm import MclRuntimeError, _binop, _truthy
 __all__ = [
     "CompileError",
     "LruCache",
-    "cache_stats",
     "compile_function",
     "compile_source",
 ]
@@ -123,11 +122,6 @@ class LruCache:
 #: Programs are immutable once compiled, so sharing them across callers
 #: (and whole experiment sweeps) is safe.
 _program_cache = LruCache(capacity=256)
-
-
-def cache_stats() -> dict:
-    """Hit/miss/size counters of the module-level program cache."""
-    return _program_cache.stats()
 
 
 def _source_key(source: str, name: Optional[str]) -> tuple:

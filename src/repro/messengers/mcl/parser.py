@@ -37,7 +37,7 @@ from typing import Optional
 from . import ast
 from .lexer import Token, tokenize
 
-__all__ = ["ParseError", "parse", "parse_function"]
+__all__ = ["ParseError", "parse"]
 
 _NAV_KEYS = ("ln", "ll", "ldir")
 _CREATE_KEYS = ("ln", "ll", "ldir", "dn", "dl", "ddir")
@@ -58,11 +58,6 @@ class ParseError(SyntaxError):
 def parse(source: str) -> ast.Script:
     """Parse MCL source into a :class:`~.ast.Script`."""
     return _Parser(tokenize(source)).parse_script()
-
-
-def parse_function(source: str, name: Optional[str] = None) -> ast.Function:
-    """Parse source and return one function from it."""
-    return parse(source).function(name)
 
 
 class _Parser:

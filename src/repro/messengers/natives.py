@@ -107,10 +107,6 @@ class NativeEnv:
             category="copies",
         )
 
-    def drain_charge(self) -> float:
-        """Total seconds charged; resets the accumulator (daemon use)."""
-        return sum(self.drain_charges().values())
-
     def drain_charges(self) -> dict:
         """Charges by cost category; resets the accumulator (daemon use)."""
         charges, self._charges = self._charges, {}

@@ -34,7 +34,6 @@ __all__ = [
     "build_from_text",
     "build_grid",
     "build_ring",
-    "build_star",
     "build_torus",
     "grid_node_name",
 ]
@@ -234,28 +233,4 @@ def build_torus(
                     nodes[grid_node_name((r + 1) % rows, c)],
                     directed=True,
                 )
-    return nodes
-
-
-def build_star(
-    system: MessengersSystem,
-    center_daemon: Optional[str] = None,
-    spoke_link: str = "spoke",
-    center_name: str = "center",
-) -> dict[str, LogicalNode]:
-    """A hub node plus one worker node per *other* daemon.
-
-    This is the manager/worker skeleton the ``create(ALL)`` statement of
-    Figure 3 builds dynamically; having it as a static topology lets
-    tests and examples construct it directly.
-    """
-    center_daemon = center_daemon or system.daemon_names[0]
-    center = system.logical.create_node(center_name, center_daemon)
-    nodes = {center_name: center}
-    for name in system.daemon_names:
-        if name == center_daemon:
-            continue
-        worker = system.logical.create_node(f"worker-{name}", name)
-        system.logical.create_link(spoke_link, center, worker)
-        nodes[f"worker-{name}"] = worker
     return nodes

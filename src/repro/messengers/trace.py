@@ -62,6 +62,7 @@ class Tracer:
         self.capacity = capacity
         self.dropped = 0
 
+    # The module docstring's entry point for tracing a system.
     @classmethod
     def attach(cls, system, capacity: Optional[int] = None) -> "Tracer":
         """Create a tracer and register it on ``system``."""
@@ -121,9 +122,7 @@ class Tracer:
     def __len__(self) -> int:
         return len(self.events)
 
-    def of_kind(self, kind: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
-
+    # The query the module docstring shows; the CLI reads ``events``.
     def journey(self, messenger_id: int) -> list[TraceEvent]:
         """Every recorded step of one Messenger, in order."""
         return [e for e in self.events if e.messenger == messenger_id]
@@ -145,6 +144,7 @@ class Tracer:
         self.dropped = 0
 
 
+# Visualization export (§3.2's graphics tool); no simulated run calls it.
 def to_dot(logical: LogicalNetwork, name: str = "logical") -> str:
     """Graphviz DOT rendering of the logical network.
 
@@ -175,6 +175,7 @@ def to_dot(logical: LogicalNetwork, name: str = "logical") -> str:
     return "\n".join(lines)
 
 
+# Visualization export, as to_dot, for networkx users.
 def to_networkx(logical: LogicalNetwork):
     """Export the logical network as a networkx (Multi)DiGraph.
 

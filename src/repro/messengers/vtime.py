@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Optional
 
 __all__ = ["ConservativeVirtualTime", "VirtualTimeError"]
 
@@ -75,9 +74,6 @@ class ConservativeVirtualTime:
     @property
     def pending_count(self) -> int:
         return len(self._pending)
-
-    def next_wake_time(self) -> Optional[float]:
-        return self._pending[0][0] if self._pending else None
 
     # -- quiescence hook ---------------------------------------------------------
 

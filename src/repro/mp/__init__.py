@@ -4,34 +4,20 @@ The paper's baseline: stationary tasks exchanging passive messages, with
 explicit pack/unpack buffer copies, per-message overhead and synchronous
 spawn, all charged from the cost model.
 
-Public surface: :class:`MessagePassingSystem`, :class:`TaskContext`
-(the ``pvm_*``-flavoured API a task programs against), pack/unpack
-buffers, and the ``ANY`` wildcard.
+Public surface: :class:`MessagePassingSystem` (a task is a generator
+over the ``pvm_*``-flavoured :class:`~repro.mp.task.TaskContext`),
+pack/unpack buffers, and the ``ANY`` wildcard.
 """
 
 from .buffers import PackBuffer, UnpackBuffer, estimate_size
-from .groups import GroupRegistry
 from .pvm import MessagePassingSystem
-from .task import (
-    ANY,
-    Message,
-    NO_PARENT,
-    SYSTEM,
-    Task,
-    TaskContext,
-    TaskKilled,
-)
+from .task import ANY, Message, TaskKilled
 
 __all__ = [
     "ANY",
-    "GroupRegistry",
     "Message",
     "MessagePassingSystem",
-    "NO_PARENT",
     "PackBuffer",
-    "SYSTEM",
-    "Task",
-    "TaskContext",
     "TaskKilled",
     "UnpackBuffer",
     "estimate_size",

@@ -171,6 +171,7 @@ class UnpackBuffer:
         """Unpack a string."""
         return str(self._next())
 
+    # pvm_upkbyte: the PVM API pairs it with pack_bytes.
     def unpack_bytes(self) -> bytes:
         """Unpack raw bytes."""
         return bytes(self._next())

@@ -59,14 +59,6 @@ class GroupRegistry:
                 f"group {name!r} has no instance {instance}"
             ) from None
 
-    def instance_of(self, name: str, tid: int) -> int:
-        """The instance number of ``tid`` in the group (pvm_getinst)."""
-        group = self._group(name)
-        try:
-            return group.members.index(tid)
-        except ValueError:
-            raise KeyError(f"tid {tid} not in group {name!r}") from None
-
     def size(self, name: str) -> int:
         """Number of members (pvm_gsize)."""
         return len(self._group(name).members)

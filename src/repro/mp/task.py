@@ -314,36 +314,6 @@ class TaskContext:
             metrics.charge("copies", unpack_seconds)
         return Message(msg_src, msg_tag, UnpackBuffer(buf.items, buf.nbytes))
 
-    def try_recv(self, src: int = ANY, tag: int = ANY):
-        """Generator: non-blocking receive (pvm_nrecv).
-
-        Returns a :class:`Message` or ``None`` without waiting (beyond
-        the unpack copy when a message is present).
-        """
-        for entry in self._task.mailbox.items:
-            msg_src, msg_tag, buf = entry
-            if (src == ANY or msg_src == src) and (
-                tag == ANY or msg_tag == tag
-            ):
-                got = yield self._task.mailbox.get(lambda e: e is entry)
-                _, _, got_buf = got
-                costs = self._system.costs
-                unpack_seconds = (
-                    got_buf.nbytes * costs.unpack_cost_per_byte_s
-                )
-                yield from self._busy(unpack_seconds, label="mp.recv")
-                metrics = self.sim.obs
-                if metrics is not None:
-                    metrics.count("mp.messages_received")
-                    metrics.count("mp.unpack.bytes_copied", got_buf.nbytes)
-                    metrics.charge("copies", unpack_seconds)
-                return Message(
-                    msg_src,
-                    msg_tag,
-                    UnpackBuffer(got_buf.items, got_buf.nbytes),
-                )
-        return None
-
     def probe(self, src: int = ANY, tag: int = ANY) -> bool:
         """Non-blocking check for a matching queued message (pvm_probe)."""
         for msg_src, msg_tag, _buf in self._task.mailbox.items:
@@ -380,18 +350,22 @@ class TaskContext:
 
     # -- groups ------------------------------------------------------------------
 
+    # pvm_joingroup, part of the PVM 3.3 group API this baseline mirrors.
     def join_group(self, name: str) -> int:
         """Join a named group; returns the instance number."""
         return self._system.groups.join(name, self._task.tid)
 
+    # pvm_lvgroup, part of the PVM 3.3 group API this baseline mirrors.
     def leave_group(self, name: str) -> None:
         """Leave a named group."""
         self._system.groups.leave(name, self._task.tid)
 
+    # pvm_gettid, part of the PVM 3.3 group API this baseline mirrors.
     def tid_in_group(self, name: str, instance: int) -> int:
         """Tid of group member ``instance`` (pvm_gettid)."""
         return self._system.groups.tid_of(name, instance)
 
+    # pvm_gsize, part of the PVM 3.3 group API this baseline mirrors.
     def group_size(self, name: str) -> int:
         """Current group size (pvm_gsize)."""
         return self._system.groups.size(name)

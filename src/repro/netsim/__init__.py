@@ -6,16 +6,13 @@ rationale and :mod:`repro.netsim.costs` for every calibration constant.
 """
 
 from ..des.errors import SimOverloadError
-from .costs import CacheModel, CostModel, DEFAULT_COSTS
-from .ethernet import EthernetSegment
+from .costs import CostModel, DEFAULT_COSTS
 from .host import Host, HostCrashedError
 from .transport import Network, Packet, build_lan
 
 __all__ = [
-    "CacheModel",
     "CostModel",
     "DEFAULT_COSTS",
-    "EthernetSegment",
     "Host",
     "HostCrashedError",
     "Network",

@@ -99,12 +99,6 @@ class EthernetSegment:
         frame.requested = self.sim.now
         self._medium.enqueue(frame)
 
-    def utilization(self) -> float:
-        """Fraction of elapsed virtual time the medium was busy."""
-        if self.sim.now == 0:
-            return 0.0
-        return self.busy_seconds / self.sim.now
-
     def __repr__(self) -> str:
         return (
             f"<EthernetSegment {self.name} frames={self.frames_carried} "

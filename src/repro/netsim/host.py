@@ -179,9 +179,5 @@ class Host:
             self._ports[name] = Store(self.sim)
         return self._ports[name]
 
-    @property
-    def port_names(self) -> list[str]:
-        return sorted(self._ports)
-
     def __repr__(self) -> str:
         return f"<Host {self.name} x{self.cpu_scale}>"

@@ -534,10 +534,6 @@ class Network:
 
         return _send(self.sim)
 
-    def receive(self, host_name: str, port: str):
-        """Event: the next packet arriving at ``host_name``/``port``."""
-        return self._hosts[host_name].port(port).get()
-
     def __repr__(self) -> str:
         return f"<Network hosts={len(self._hosts)} delivered={self.delivered}>"
 

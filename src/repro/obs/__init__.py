@@ -18,7 +18,8 @@ loses the advantage where per-instruction script interpretation does
   host plus one for the Ethernet segment.
 
 Exporters turn one run into a Chrome ``trace_event`` JSON
-(:func:`to_chrome_trace`), a JSONL event log (:func:`to_jsonl`), or an
+(:func:`dump_chrome_trace`), a JSONL event log
+(:func:`~repro.obs.export.to_jsonl`), or an
 ASCII cost-breakdown report (:func:`cost_breakdown` /
 :func:`format_breakdown`).  ``python -m repro stats`` wires it all
 together for the paper's workloads.
@@ -32,53 +33,25 @@ and the disabled path at the noise floor).
 from .export import (
     cost_breakdown,
     dump_chrome_trace,
-    dump_jsonl,
     format_breakdown,
     format_counters,
-    to_chrome_trace,
-    to_jsonl,
 )
 from .registry import (
     CATEGORIES,
-    CAT_COMPUTE,
-    CAT_COPIES,
-    CAT_DISPATCH,
-    CAT_GVT,
-    CAT_INTERP,
-    CAT_PROTOCOL,
-    CAT_WIRE,
     Counter,
-    CounterFamily,
-    Gauge,
     Histogram,
     InstantEvent,
-    MetricNameError,
     MetricsRegistry,
-    Span,
 )
 
 __all__ = [
     "CATEGORIES",
-    "CAT_COMPUTE",
-    "CAT_COPIES",
-    "CAT_DISPATCH",
-    "CAT_GVT",
-    "CAT_INTERP",
-    "CAT_PROTOCOL",
-    "CAT_WIRE",
     "Counter",
-    "CounterFamily",
-    "Gauge",
     "Histogram",
     "InstantEvent",
-    "MetricNameError",
     "MetricsRegistry",
-    "Span",
     "cost_breakdown",
     "dump_chrome_trace",
-    "dump_jsonl",
     "format_breakdown",
     "format_counters",
-    "to_chrome_trace",
-    "to_jsonl",
 ]

@@ -8,7 +8,7 @@ Three output formats, all produced from one :class:`MetricsRegistry`:
   segment) becomes a thread; spans become complete ('X') events and
   instants become instant ('i') events.  Simulated seconds map to
   trace microseconds.
-* :func:`to_jsonl` / :func:`dump_jsonl` — a line-per-record JSON event
+* :func:`to_jsonl` — a line-per-record JSON event
   log (spans, instants, then one ``snapshot`` and one ``ledger``
   record), convenient for ad-hoc ``jq``/pandas analysis.
 * :func:`cost_breakdown` / :func:`format_breakdown` /
@@ -36,7 +36,6 @@ from .registry import CATEGORIES, MetricsRegistry
 __all__ = [
     "cost_breakdown",
     "dump_chrome_trace",
-    "dump_jsonl",
     "format_breakdown",
     "format_counters",
     "to_chrome_trace",
@@ -125,6 +124,7 @@ def dump_chrome_trace(
 # -- JSONL event log ----------------------------------------------------------
 
 
+# The JSONL exporter the README documents; no run writes it itself.
 def to_jsonl(registry: MetricsRegistry) -> list[str]:
     """The registry as a list of JSON lines (spans, instants, summary)."""
     lines: list[str] = []
@@ -163,20 +163,6 @@ def to_jsonl(registry: MetricsRegistry) -> list[str]:
         )
     )
     return lines
-
-
-def dump_jsonl(
-    registry: MetricsRegistry, destination: Union[str, IO[str]]
-) -> int:
-    """Write the JSONL event log; returns the number of lines."""
-    lines = to_jsonl(registry)
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    return len(lines)
 
 
 # -- ASCII reporting ----------------------------------------------------------

@@ -131,9 +131,6 @@ class Gauge:
     def inc(self, n: float = 1) -> None:
         self.value += n
 
-    def dec(self, n: float = 1) -> None:
-        self.value -= n
-
     def snapshot_value(self):
         return self.value
 
@@ -240,11 +237,6 @@ class CounterFamily:
             raise ValueError(f"counter {self.name} cannot decrease by {n}")
         self.values[label_value] = self.values.get(label_value, 0) + n
 
-    def merge(self, counts: dict) -> None:
-        """Bulk-add a {label_value: n} dict (hot-loop friendly)."""
-        for label_value, n in counts.items():
-            self.values[label_value] = self.values.get(label_value, 0) + n
-
     def get(self, label_value: str) -> float:
         return self.values.get(label_value, 0)
 
@@ -272,16 +264,10 @@ class _NullMetric:
     def inc(self, *args, **kwargs) -> None:
         pass
 
-    def dec(self, *args, **kwargs) -> None:
-        pass
-
     def set(self, *args, **kwargs) -> None:
         pass
 
     def observe(self, *args, **kwargs) -> None:
-        pass
-
-    def merge(self, *args, **kwargs) -> None:
         pass
 
     def get(self, *args, **kwargs) -> int:

@@ -13,9 +13,8 @@ Two jobs, both in service of the fast path through the simulation stack:
   app runs (``run_messengers``, ``run_pvm``, …) can be hashed without
   threading a parameter through every layer.
 
-* **Throughput probes.**  :func:`des_event_throughput`,
-  :func:`store_throughput`, :func:`vm_opcode_throughput` and
-  :func:`net_packet_throughput` are the microbenchmarks behind
+* **Throughput probes.**  :func:`throughput_suite` runs the
+  microbenchmarks (DES events, stores, VM opcodes, packets) behind
   ``benchmarks/test_perf_throughput.py``, ``BENCH_perf.json`` and the
   CI perf-smoke job.  Each returns ``{"n": ..., "wall_s": ...,
   "per_sec": ...}`` measured over the *hot* portion only (setup
@@ -38,11 +37,7 @@ from ..des import Simulator
 __all__ = [
     "TraceHasher",
     "hashing_all_simulators",
-    "des_event_throughput",
-    "store_throughput",
-    "vm_opcode_throughput",
     "vm_backend_speedup",
-    "net_packet_throughput",
     "throughput_suite",
 ]
 

@@ -30,11 +30,8 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Optional, Sequence
 
-from ..des import Simulator
-from ..messengers.daemon_graph import DaemonNetwork
+from ..facade import Cluster, ClusterConfig
 from ..messengers.netbuilder import build_ring
-from ..messengers.system import MessengersSystem
-from ..netsim.transport import build_lan
 
 __all__ = ["SCALE_GRID", "WALKER_SCRIPT", "run_scale_point", "run_scale_sweep"]
 
@@ -74,11 +71,8 @@ def run_scale_point(
     Simulated values (``sim_seconds``, ``events``, ``remote_hops``) are
     deterministic; ``wall_s``/``events_per_sec`` are host-dependent.
     """
-    sim = Simulator()
-    network = build_lan(sim, daemons)
-    system = MessengersSystem(
-        network, DaemonNetwork.ring(network.host_names)
-    )
+    cluster = Cluster(config=ClusterConfig(n_hosts=daemons, topology="ring"))
+    sim, system = cluster.sim, cluster.messengers
     # Scale mode: finished walkers are not archived.
     system.retain_finished = False
     ring = build_ring(system, nodes)

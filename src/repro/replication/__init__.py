@@ -10,14 +10,7 @@ sides of a partition keep accepting mail and provably converge after
 byte-identical to a replication-free build.
 """
 
-from .core import (
-    ReplicaState,
-    ReplicationConfig,
-    ReplicationService,
-    merge_stages,
-    merge_vv,
-    vv_dominates,
-)
+from .core import ReplicaState, ReplicationConfig, ReplicationService
 from .invariants import QuorumLiveness, ReplicaConvergence
 
 __all__ = [
@@ -26,7 +19,4 @@ __all__ = [
     "ReplicaState",
     "ReplicationConfig",
     "ReplicationService",
-    "merge_stages",
-    "merge_vv",
-    "vv_dominates",
 ]

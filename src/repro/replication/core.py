@@ -68,6 +68,7 @@ UID_BYTES = 8
 # -- version vectors ---------------------------------------------------------
 
 
+# Reference join: the Hypothesis lattice laws are stated on it.
 def merge_vv(a: dict, b: dict) -> dict:
     """Join two version vectors: pointwise max over origin components.
 
@@ -83,11 +84,13 @@ def merge_vv(a: dict, b: dict) -> dict:
     return merged
 
 
+# Reference order for the same lattice laws.
 def vv_dominates(a: dict, b: dict) -> bool:
     """True if ``a`` has seen at least everything ``b`` has."""
     return all(a.get(origin, 0) >= seq for origin, seq in b.items())
 
 
+# Reference join of stage maps; ``_apply_records`` applies it inline.
 def merge_stages(a: dict, b: dict) -> dict:
     """Join two stage maps: union by mail id, max lifecycle stage.
 

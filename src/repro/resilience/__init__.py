@@ -16,8 +16,8 @@ machinery a real distributed system needs:
   failures, plus credit-based transport backpressure (bounded
   retransmit state, typed :class:`~repro.des.SimOverloadError`);
 * **invariants** (:mod:`~repro.resilience.invariants`) — GVT
-  monotonicity, no-lost-no-duplicated work, checkpoint snapshot
-  integrity, and the cost-ledger accounting identity, checked inside
+  monotonicity, checkpoint snapshot integrity, and the cost-ledger
+  accounting identity, checked inside
   the DES and failing fast with a minimal event-trace excerpt;
 * **schedule search** (:mod:`~repro.resilience.search`) — bounded DFS
   plus seeded random restarts over fault schedules, shrinking any
@@ -38,47 +38,18 @@ from typing import Optional
 
 from ..des.rng import RngRegistry
 from .detectors import FailureDetector, HeartbeatDetector, PhiAccrualDetector
-from .invariants import (
-    CheckpointIntegrity,
-    GvtMonotonic,
-    Invariant,
-    InvariantMonitor,
-    InvariantViolation,
-    LedgerIdentity,
-    NoLostWork,
-    WorkLedger,
-)
+from .invariants import Invariant, InvariantMonitor, InvariantViolation
 from .search import ScheduleSearcher
-from .supervision import (
-    ESCALATE,
-    GIVE_UP,
-    ONE_FOR_ONE,
-    RestartPolicy,
-    SupervisionEscalation,
-    Supervisor,
-)
+from .supervision import RestartPolicy, SupervisionEscalation, Supervisor
 
 __all__ = [
-    "CheckpointIntegrity",
-    "ESCALATE",
-    "FailureDetector",
-    "GIVE_UP",
-    "GvtMonotonic",
-    "HeartbeatDetector",
     "Invariant",
     "InvariantMonitor",
     "InvariantViolation",
-    "LedgerIdentity",
-    "NoLostWork",
-    "ONE_FOR_ONE",
-    "PhiAccrualDetector",
     "ResiliencePolicy",
     "ResilienceSuite",
-    "RestartPolicy",
     "ScheduleSearcher",
     "SupervisionEscalation",
-    "Supervisor",
-    "WorkLedger",
 ]
 
 #: Detector kinds :class:`ResiliencePolicy` understands.

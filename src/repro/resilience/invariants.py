@@ -7,10 +7,6 @@ hold at every observation point, fault or no fault:
 
 * :class:`GvtMonotonic` — global virtual time never decreases (the
   conservative engine's central guarantee, §2.2);
-* :class:`NoLostWork` — against a :class:`WorkLedger`, every completed
-  work unit was issued, no unit is accepted twice, and (at the end)
-  every issued unit completed: crash recovery must neither lose nor
-  duplicate work;
 * :class:`CheckpointIntegrity` — a hop-boundary checkpoint is a
   *snapshot*: once captured it must never change, or replay-from-
   checkpoint would resurrect a different Messenger than the one that
@@ -41,8 +37,6 @@ __all__ = [
     "InvariantMonitor",
     "InvariantViolation",
     "LedgerIdentity",
-    "NoLostWork",
-    "WorkLedger",
 ]
 
 
@@ -96,68 +90,6 @@ class GvtMonotonic(Invariant):
         if self._last is not None and value < self._last - 1e-12:
             return f"GVT moved backwards: {self._last} -> {value}"
         self._last = value
-        return None
-
-
-class WorkLedger:
-    """Double-entry book for work units (task blocks, messengers, ...).
-
-    The workload calls :meth:`issue` when a unit enters the system and
-    :meth:`complete` when its result is *accepted* into the final
-    store.  Recomputing a unit after a crash is legitimate (and
-    invisible here); accepting its result twice is not.
-    """
-
-    def __init__(self):
-        self.issued: dict = {}
-        self.completed: dict = {}
-
-    def issue(self, unit) -> None:
-        self.issued[unit] = self.issued.get(unit, 0) + 1
-
-    def complete(self, unit) -> None:
-        self.completed[unit] = self.completed.get(unit, 0) + 1
-
-    def __repr__(self) -> str:
-        return (
-            f"<WorkLedger issued={len(self.issued)} "
-            f"completed={len(self.completed)}>"
-        )
-
-
-class NoLostWork(Invariant):
-    """No lost and no duplicated work units against a :class:`WorkLedger`.
-
-    During the run: everything completed was issued, nothing was
-    accepted twice.  At the end: everything issued completed — crash
-    recovery finished the job, it did not quietly drop the victim's
-    work on the floor.
-    """
-
-    name = "no-lost-work"
-
-    def __init__(self, ledger: WorkLedger):
-        self.ledger = ledger
-
-    def check(self, now: float) -> Optional[str]:
-        for unit, n in self.ledger.completed.items():
-            if unit not in self.ledger.issued:
-                return f"work unit {unit!r} completed but was never issued"
-            if n > 1:
-                return f"work unit {unit!r} accepted {n} times (duplicate)"
-        return None
-
-    def check_final(self, now: float) -> Optional[str]:
-        problem = self.check(now)
-        if problem is not None:
-            return problem
-        lost = [
-            unit for unit in self.ledger.issued
-            if self.ledger.completed.get(unit, 0) == 0
-        ]
-        if lost:
-            return f"{len(lost)} issued work unit(s) never completed: " \
-                   f"{sorted(map(repr, lost))[:5]}"
         return None
 
 

@@ -12,42 +12,11 @@ Entry point: configure a cluster with
 ``cluster.service.run("messengers")`` or ``.run("pvm")``.
 """
 
-from .arrivals import arrival_times, iter_arrival_times
-from .config import ARRIVAL_KINDS, ServiceConfig
-from .degradation import (
-    CLOSED,
-    HALF_OPEN,
-    LEGAL_TRANSITIONS,
-    OPEN,
-    AdmissionController,
-    CircuitBreaker,
-    retry_schedule,
-)
-from .invariants import (
-    TERMINAL_OUTCOMES,
-    BreakerSanity,
-    NoRequestLost,
-    RequestBook,
-)
-from .workload import SERVICE_SCRIPT, Request, ServiceWorkload
+from .config import ServiceConfig
+from .workload import Request, ServiceWorkload
 
 __all__ = [
-    "ARRIVAL_KINDS",
-    "AdmissionController",
-    "BreakerSanity",
-    "CLOSED",
-    "CircuitBreaker",
-    "HALF_OPEN",
-    "LEGAL_TRANSITIONS",
-    "NoRequestLost",
-    "OPEN",
     "Request",
-    "RequestBook",
-    "SERVICE_SCRIPT",
     "ServiceConfig",
     "ServiceWorkload",
-    "TERMINAL_OUTCOMES",
-    "arrival_times",
-    "iter_arrival_times",
-    "retry_schedule",
 ]

@@ -20,11 +20,11 @@ materialised convenience wrapper.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, List
+from typing import Callable, Iterator
 
 from .config import ServiceConfig
 
-__all__ = ["arrival_times", "iter_arrival_times"]
+__all__ = ["iter_arrival_times"]
 
 #: Bursty shape: on/off phase lengths and the on-phase rate over the
 #: off-phase rate.
@@ -92,8 +92,3 @@ def iter_arrival_times(config: ServiceConfig, rng) -> Iterator[float]:
         return rate * (1.0 + depth * math.sin(2.0 * math.pi * t / period))
 
     return _thinned(peak, diurnal_rate, duration, rng)
-
-
-def arrival_times(config: ServiceConfig, rng) -> List[float]:
-    """Materialised :func:`iter_arrival_times` (sorted by construction)."""
-    return list(iter_arrival_times(config, rng))

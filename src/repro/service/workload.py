@@ -354,7 +354,7 @@ class ServiceWorkload:
                 leave_at, lambda c: self._pvm_drain(leaver)
             )
         cluster.sim.process(self._drive_pvm(self.iter_requests()))
-        cluster.run()
+        cluster.sim.run()
         self._final_check()
         return self.stats()
 

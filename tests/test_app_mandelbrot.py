@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from repro.apps.mandelbrot import (
-    PAPER_COLORS,
-    PAPER_REGION,
     TaskGrid,
-    block_flops,
-    compute_block,
     run_messengers,
     run_pvm,
     run_sequential,
 )
-from repro.apps.mandelbrot.kernel import clear_block_cache
+from repro.apps.mandelbrot.kernel import (
+    PAPER_COLORS,
+    PAPER_REGION,
+    block_flops,
+    clear_block_cache,
+    compute_block,
+)
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +56,10 @@ class TestTaskGrid:
             small_grid.assemble({0: np.zeros((12, 12), dtype=np.int16)})
 
     def test_result_bytes(self):
+        # Colors travel as 16-bit indices: two bytes per pixel on the wire.
         grid = TaskGrid(64, 4)
-        assert grid.block(0).result_bytes == 16 * 16 * 2
+        colors, _iterations = compute_block(grid, grid.block(0))
+        assert colors.nbytes == 16 * 16 * 2
 
 
 def _reference_block(grid, block):

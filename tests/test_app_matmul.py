@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.apps.matmul import (
-    block_of,
     make_matrices,
     multiply_flops,
     multiply_working_set,
@@ -12,8 +11,8 @@ from repro.apps.matmul import (
     run_messengers,
     run_naive,
     run_pvm,
-    set_block,
 )
+from repro.apps.matmul.kernel import block_of, set_block
 
 
 @pytest.fixture(scope="module")

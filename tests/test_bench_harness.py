@@ -4,16 +4,14 @@ import pytest
 
 from repro.bench import (
     Figure,
-    Series,
-    ShapeViolation,
-    ascii_chart,
     assert_faster_beyond,
     assert_roughly_monotone,
-    assert_speedup_at_least,
     blocking_speedup_model,
     crossover_interval,
     format_table,
 )
+from repro.bench.reporting import Series, ascii_chart
+from repro.bench.shapes import ShapeViolation, assert_speedup_at_least
 
 
 class TestFormatTable:

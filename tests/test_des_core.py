@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.des import (
-    EventAlreadyTriggered,
-    Simulator,
-    SimulationError,
-)
+from repro.des import Simulator, SimulationError
+from repro.des.errors import EventAlreadyTriggered
 
 
 @pytest.fixture

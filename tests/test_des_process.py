@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.des import Interrupt, ProcessDead, Simulator, SimulationError
+from repro.des import Interrupt, Simulator, SimulationError
+from repro.des.errors import ProcessDead
 
 
 @pytest.fixture

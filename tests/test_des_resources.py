@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 from repro.des import (
     FilterStore,
     Hold,
-    PriorityStore,
     Resource,
     Simulator,
     SimulationError,
     Store,
 )
+from repro.des.resources import PriorityStore
 
 
 @pytest.fixture
@@ -74,7 +74,7 @@ class TestResource:
         def contender(sim):
             yield sim.timeout(1)
             req = res.request()
-            assert res.queue_length == 1
+            assert len(res._waiting) == 1
             yield req
             res.release(req)
 
@@ -82,7 +82,7 @@ class TestResource:
         sim.process(contender(sim))
         sim.run()
         assert res.count == 0
-        assert res.queue_length == 0
+        assert len(res._waiting) == 0
 
     def test_cancel_queued_request(self, sim):
         res = Resource(sim, capacity=1)
@@ -98,7 +98,7 @@ class TestResource:
             req = res.request()
             # changed our mind before being granted
             res.release(req)
-            assert res.queue_length == 0
+            assert len(res._waiting) == 0
 
         sim.process(holder(sim))
         sim.process(quitter(sim))
@@ -158,7 +158,7 @@ def _run_jobs(jobs, spell_hold):
     for index, spec in enumerate(jobs):
         sim.process(job(index, *spec))
     sim.run()
-    assert server.count == 0 and server.queue_length == 0
+    assert server.count == 0 and len(server._waiting) == 0
     return log
 
 
@@ -167,11 +167,11 @@ class TestHold:
         cpu = Resource(sim, capacity=1)
         first, second = cpu.hold(3), cpu.hold(2)
         assert isinstance(first, Hold)
-        assert (cpu.count, cpu.queue_length) == (1, 1)
+        assert (cpu.count, len(cpu._waiting)) == (1, 1)
         assert sim.run(until=second) is None
         assert sim.now == 5
         assert (first.start, second.start) == (0, 3)
-        assert (cpu.count, cpu.queue_length) == (0, 0)
+        assert (cpu.count, len(cpu._waiting)) == (0, 0)
         assert sim._eid == 2  # one kernel event per hold, no process
 
     def test_queued_hold_can_be_withdrawn(self, sim):
@@ -341,17 +341,6 @@ class TestStore:
         sim.process(consumer(sim))
         sim.run()
         assert log == [(0, "put-a"), (5, "got-a"), (5, "put-b")]
-
-    def test_try_get(self, sim):
-        store = Store(sim)
-        assert store.try_get() == (False, None)
-
-        def proc(sim):
-            yield store.put(9)
-
-        sim.process(proc(sim))
-        sim.run()
-        assert store.try_get() == (True, 9)
 
     def test_len_and_items(self, sim):
         store = Store(sim)

@@ -9,8 +9,9 @@ MessengersSystem) keeps working unchanged.
 import pytest
 
 import repro
-from repro.messengers import DaemonNetwork
+from repro.messengers import DaemonNetwork, Shell, Tracer
 from repro.netsim import DEFAULT_COSTS
+from repro.obs import format_breakdown
 
 HELLO = """
 hello() {
@@ -23,7 +24,7 @@ hello() {
 def _run_hello(c):
     seen = []
 
-    @c.natives.register
+    @c.messengers.natives.register
     def mark(env):
         seen.append(env.daemon.name)
         return 0
@@ -43,10 +44,8 @@ class TestCluster:
 
     def test_shape(self):
         c = repro.cluster(3)
-        assert len(c) == 3
+        assert len(c.network) == 3
         assert c.host_names == ["host0", "host1", "host2"]
-        assert c.host("host1").name == "host1"
-        assert c.n_tracks == 4  # 3 hosts + the wire
 
     def test_layers_are_lazy(self):
         c = repro.cluster(2)
@@ -63,7 +62,7 @@ class TestCluster:
             yield from ctx.compute(1000)
             ctx.exit()
 
-        tid = c.spawn(task)
+        tid = c.mp.spawn(task)
         c.mp.run_until_task(tid)
         _run_hello(c)
         assert c.messengers.network is c.mp.network
@@ -106,8 +105,8 @@ class TestCluster:
 
     def test_shell_and_tracer(self):
         c = repro.cluster(2)
-        tracer = c.tracer()
-        shell = c.shell()
+        tracer = Tracer.attach(c.messengers)
+        shell = Shell(c.messengers)
         out = shell.execute("inject! { f() { create(ALL); } }")
         assert "injected" in out
         shell.execute("run")
@@ -131,8 +130,9 @@ class TestClusterMetrics:
         assert breakdown["accounted_s"] > 0
         # The hello run interprets MCL and dispatches hops (no numpy
         # compute), so those categories must appear in the report.
-        assert "interpretation" in c.report()
-        assert "dispatch" in c.report()
+        report = format_breakdown(breakdown)
+        assert "interpretation" in report
+        assert "dispatch" in report
 
     def test_metrics_accepts_registry(self):
         registry = repro.MetricsRegistry(opcode_counts=True)
@@ -155,7 +155,7 @@ class TestClusterConfig:
 
     def test_explicit_n_hosts_overrides_config(self):
         c = repro.Cluster(6, config=repro.ClusterConfig(n_hosts=2))
-        assert len(c) == 6
+        assert len(c.network) == 6
 
     def test_is_frozen(self):
         config = repro.ClusterConfig()
@@ -267,7 +267,7 @@ class TestChurnFacade:
         c = repro.cluster(2)
         fired = []
         c.schedule(0.25, lambda c: fired.append(c.now))
-        c.run()
+        c.sim.run()
         assert fired == [pytest.approx(0.25)]
 
     def test_add_node_rejects_unknown_daemon(self):
@@ -301,15 +301,13 @@ class TestTopLevelExports:
         for package, names in (
             (repro.des, ("Simulator",)),
             (repro.messengers, (
-                "MessengersSystem", "DaemonNetwork", "NativeRegistry",
-                "Shell", "Tracer",
+                "MessengersSystem", "DaemonNetwork", "Shell", "Tracer",
             )),
             (repro.mp, (
                 "MessagePassingSystem", "PackBuffer", "UnpackBuffer",
             )),
             (repro.netsim, (
-                "Network", "build_lan", "CostModel", "CacheModel",
-                "DEFAULT_COSTS",
+                "Network", "build_lan", "CostModel", "DEFAULT_COSTS",
             )),
         ):
             for name in names:
@@ -320,8 +318,7 @@ class TestTopLevelExports:
 
         for name in (
             "CATEGORIES", "MetricsRegistry", "cost_breakdown",
-            "format_breakdown", "to_chrome_trace", "to_jsonl",
-            "dump_chrome_trace",
+            "format_breakdown", "dump_chrome_trace",
         ):
             assert name in repro.obs.__all__
 

@@ -18,12 +18,8 @@ from repro.apps.mandelbrot.kernel import TaskGrid
 from repro.apps.mandelbrot.messengers_app import run_messengers
 from repro.apps.mandelbrot.pvm_app import run_pvm
 from repro.des import SimDeadlockError, SimulationError, Simulator
-from repro.faults import (
-    FaultEvent,
-    FaultInjector,
-    FaultPlan,
-    FaultPlanError,
-)
+from repro.faults import FaultInjector, FaultPlan, FaultPlanError
+from repro.faults.plan import FaultEvent
 from repro.messengers import build_ring
 from repro.netsim import DEFAULT_COSTS, HostCrashedError, Packet, build_lan
 
@@ -582,7 +578,8 @@ class TestDeterminism:
 
 class TestTimeWarpKill:
     def _ping_pong_specs(self):
-        from repro.gvt import Event, LpSpec
+        from repro.gvt import Event
+        from repro.gvt.base import LpSpec
 
         def handler(state, event):
             state["count"] = state.get("count", 0) + 1
@@ -644,7 +641,7 @@ class TestFacadeWiring:
         c = repro.cluster(
             config=repro.ClusterConfig(n_hosts=2, faults=plan, seed=5)
         )
-        c.run()
+        c.sim.run()
         assert c.fault_stats["host_crashes"] == 1
         assert c.injector is not None
 

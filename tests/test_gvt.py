@@ -6,13 +6,13 @@ from repro.des import Simulator
 from repro.gvt import (
     ConservativeKernel,
     Event,
-    LpSpec,
     TimeWarpKernel,
     VirtualTimeKernelError,
     phold,
     pipeline,
     skewed_load,
 )
+from repro.gvt.base import LpSpec
 
 
 def run_conservative(specs, initial, **kwargs):

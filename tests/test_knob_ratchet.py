@@ -6,8 +6,12 @@ win.  These pins make re-adding one a visible decision instead of a
 quiet constructor parameter, config field or package export.
 """
 
+import ast
 import dataclasses
+import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +34,12 @@ from repro.des import Simulator
 from repro.messengers import mcl
 from repro.netsim import CostModel, build_lan
 from repro.obs import Histogram
-from repro.resilience import RestartPolicy
+from repro.resilience.supervision import RestartPolicy
+
+ROOT = Path(__file__).resolve().parent.parent
+#: Where an export's callers may live; tests import from the defining
+#: module instead.
+CALLER_PATHS = ("src", "benchmark", "benchmarks", "examples")
 
 #: Every settable field of every config dataclass.  A tuning value no
 #: caller moves off its default is a module constant next to its reader.
@@ -123,23 +132,57 @@ def test_top_level_exports():
 
 def test_des_exports():
     assert sorted(repro.des.__all__) == [
-        "AllOf",
-        "AnyOf",
         "Event",
-        "EventAlreadyTriggered",
         "FilterStore",
         "Hold",
         "Interrupt",
-        "PriorityStore",
         "Process",
-        "ProcessDead",
         "Resource",
         "RngRegistry",
         "SimDeadlockError",
         "SimOverloadError",
         "SimulationError",
         "Simulator",
-        "StopSimulation",
         "Store",
         "Timeout",
     ]
+
+
+def _subpackage_exports():
+    for init in sorted((ROOT / "src" / "repro").rglob("*/__init__.py")):
+        package = init.parent
+        dotted = ".".join(package.relative_to(ROOT / "src").parts)
+        for node in ast.parse(init.read_text()).body:
+            if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__"
+                for target in node.targets
+            ):
+                yield package, dotted, ast.literal_eval(node.value)
+
+
+def test_every_subpackage_export_has_an_outside_caller():
+    # A name earns its subpackage __all__ slot by a word-boundary
+    # reference outside that package; exceptions are exempt because
+    # callers catch them.  The total may only shrink.
+    sources = {
+        path: path.read_text()
+        for top in CALLER_PATHS
+        for path in (ROOT / top).rglob("*.py")
+    }
+    uncalled, total = [], 0
+    for package, dotted, names in _subpackage_exports():
+        module = importlib.import_module(dotted)
+        total += len(names)
+        for name in names:
+            value = getattr(module, name)
+            if isinstance(value, type) and issubclass(value, BaseException):
+                continue
+            pattern = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(
+                pattern.search(text)
+                for path, text in sources.items()
+                if package not in path.parents
+            ):
+                uncalled.append(f"{dotted}.{name}")
+    assert uncalled == []
+    assert total == 149

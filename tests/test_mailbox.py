@@ -16,7 +16,8 @@ from repro import (
     FaultPlan,
     MailboxConfig,
 )
-from repro.mailbox import LIFECYCLE, Mail, NoLiveDaemonError
+from repro.mailbox import Mail, NoLiveDaemonError
+from repro.mailbox.core import LIFECYCLE
 from repro.perf import TraceHasher
 from repro.resilience import ResiliencePolicy, ScheduleSearcher
 
@@ -264,7 +265,9 @@ class TestChurn:
         kept = c.send_mail("peer", "before churn")
         c.run_to_quiescence()
         box = c.mailbox("peer")
-        assert [m.body for m in box.unread()] == ["before churn"]
+        assert [m.body for m in box.mails if m.status != "read"] == [
+            "before churn"
+        ]
 
         c.leave_host("host1")
         assert box.node.daemon != "host1"
@@ -327,7 +330,7 @@ class TestDeadCluster:
 class TestNatives:
     def test_send_recv_ack_round_trip(self):
         c = build()
-        target = c.daemon("host1").init_node
+        target = c.messengers.daemon("host1").init_node
         c.inject(
             f"sender() {{ M_send({target.uid}, 41, \"task\"); }}",
             daemon="host0",
@@ -354,7 +357,7 @@ class TestNatives:
     def test_bcast_native_fans_out(self):
         c = build()
         for index in range(3):
-            c.mailbox(c.daemon(f"host{index}").init_node)
+            c.mailbox(c.messengers.daemon(f"host{index}").init_node)
         c.inject("all() { M_bcast(9, \"ping\"); }", daemon="host0")
         c.run_to_quiescence()
         assert c.mail_stats["broadcasts"] == 1

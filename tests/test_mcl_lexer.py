@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.messengers.mcl import LexError, tokenize
+from repro.messengers.mcl.lexer import LexError, tokenize
 
 
 def kinds(source):

@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.messengers.mcl import ParseError, parse, parse_function
+from repro.messengers.mcl import parse
+from repro.messengers.mcl.parser import ParseError
 from repro.messengers.mcl import ast
+
+
+def parse_function(source):
+    """The one function ``source`` defines."""
+    return parse(source).function()
 
 
 class TestFunctions:

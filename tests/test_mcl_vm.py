@@ -3,7 +3,6 @@
 import pytest
 
 from repro.messengers.mcl import (
-    CompileError,
     CreateCommand,
     DeleteCommand,
     DoneCommand,
@@ -14,6 +13,7 @@ from repro.messengers.mcl import (
     compile_source,
     run,
 )
+from repro.messengers.mcl.compiler import CompileError
 
 
 def execute(source, natives=None, netvars=None, mvars=None, nvars=None,
@@ -306,18 +306,3 @@ class TestFrameCloning:
         run(clone, mvars_b, {}, lambda n: None, lambda n, a: None)
         assert mvars_a["x"] == 11
         assert mvars_b["x"] == 11
-
-
-class TestDisassembly:
-    def test_disassemble_mentions_everything(self):
-        program = compile_source(
-            "f(a) { node nv; nv = a; hop(); }"
-        )
-        listing = program.disassemble()
-        assert "f(a)" in listing
-        assert "nv" in listing
-        assert "HOP" in listing
-
-    def test_code_bytes_positive(self):
-        program = compile_source("f() { x = 1; }")
-        assert program.code_bytes > 0

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.des import Simulator
-from repro.mp import ANY, MessagePassingSystem, NO_PARENT, PackBuffer
+from repro.mp import ANY, MessagePassingSystem, PackBuffer
+from repro.mp.task import NO_PARENT
 from repro.netsim import CostModel, build_lan
 
 
@@ -158,17 +159,15 @@ class TestSendRecv:
         tid = system.spawn(sender)
         system.run_until_task(tid)
 
-    def test_try_recv_and_probe(self, rig):
+    def test_probe_sees_queued_message(self, rig):
         _sim, _net, system = rig
         results = []
 
         def receiver(ctx):
-            none_yet = yield from ctx.try_recv()
-            results.append(none_yet)
             results.append(ctx.probe())
             yield from ctx.delay(1.0)  # let the message arrive
             results.append(ctx.probe())
-            msg = yield from ctx.try_recv()
+            msg = yield from ctx.recv()
             results.append(msg.buffer.unpack_int())
 
         def sender(ctx):
@@ -178,7 +177,7 @@ class TestSendRecv:
 
         tid = system.spawn(sender)
         system.run_until_task(tid)
-        assert results == [None, False, True, 5]
+        assert results == [False, True, 5]
 
     def test_src_filtering_any(self, rig):
         _sim, _net, system = rig

@@ -10,7 +10,6 @@ from repro.messengers import (
     build_from_text,
     build_grid,
     build_ring,
-    build_star,
     grid_node_name,
 )
 
@@ -150,11 +149,13 @@ class TestRingAndStar:
         assert nodes["n0"].degree() == 0
 
     def test_star_shape(self, system):
-        nodes = build_star(system)
-        center = nodes["center"]
+        # Figure 3's manager/worker star, built dynamically by create(ALL).
+        system.inject("star() { create(ALL); }", daemon="host0")
+        system.run_to_quiescence()
+        center = system.daemon("host0").init_node
         assert center.degree() == 3  # 4 daemons - center
-        for name in ("host1", "host2", "host3"):
-            assert nodes[f"worker-{name}"].daemon == name
+        workers = {link.other(center).daemon for link in center.links}
+        assert workers == {"host1", "host2", "host3"}
 
     def test_ring_validation(self, system):
         with pytest.raises(TopologyError):

@@ -15,17 +15,16 @@ import pytest
 from repro.des import Simulator
 from repro.obs import (
     CATEGORIES,
-    CounterFamily,
     Histogram,
     InstantEvent,
-    MetricNameError,
     MetricsRegistry,
     cost_breakdown,
     dump_chrome_trace,
     format_breakdown,
     format_counters,
-    to_jsonl,
 )
+from repro.obs.export import to_jsonl
+from repro.obs.registry import CounterFamily, MetricNameError
 
 
 class TestCounter:
@@ -58,7 +57,7 @@ class TestGauge:
         registry = MetricsRegistry()
         gauge = registry.gauge("queue.depth")
         gauge.inc(3)
-        gauge.dec()
+        gauge.inc(-1)
         assert gauge.value == 2
         gauge.set(10)
         assert registry.value("queue.depth") == 10
@@ -104,11 +103,12 @@ class TestHistogram:
 
 
 class TestCounterFamily:
-    def test_labelled_counts_and_merge(self):
+    def test_labelled_counts_accumulate(self):
         registry = MetricsRegistry()
         family = registry.counter_family("vm.ops", "opcode")
         family.inc("CALL")
-        family.merge({"CALL": 2, "HOP": 5})
+        family.inc("CALL", 2)
+        family.inc("HOP", 5)
         assert family.get("CALL") == 3
         assert family.get("HOP") == 5
         snapshot = registry.snapshot()
@@ -224,9 +224,11 @@ class TestSnapshotDeterminism:
         first = MetricsRegistry()
         first.count("b", 1)
         first.count("a", 2)
-        first.counter_family("f", "l").merge({"z": 1, "a": 2})
+        first.counter_family("f", "l").inc("z", 1)
+        first.counter_family("f", "l").inc("a", 2)
         second = MetricsRegistry()
-        second.counter_family("f", "l").merge({"a": 2, "z": 1})
+        second.counter_family("f", "l").inc("a", 2)
+        second.counter_family("f", "l").inc("z", 1)
         second.count("a", 2)
         second.count("b", 1)
         assert first.snapshot() == second.snapshot()

@@ -3,7 +3,8 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.des import PriorityStore, Resource, Simulator, Store
+from repro.des import Resource, Simulator, Store
+from repro.des.resources import PriorityStore
 
 
 class TestEventOrderingProperties:

@@ -10,13 +10,8 @@ final states.
 from hypothesis import given, settings, strategies as st
 
 from repro.des import Simulator
-from repro.gvt import (
-    ConservativeKernel,
-    Event,
-    LpSpec,
-    TimeWarpKernel,
-    phold,
-)
+from repro.gvt import ConservativeKernel, Event, TimeWarpKernel, phold
+from repro.gvt.base import LpSpec
 
 
 @st.composite

@@ -8,13 +8,8 @@ Statement-level properties cover loop counting and variable scoping.
 
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.messengers.mcl import (
-    DoneCommand,
-    Frame,
-    compile_source,
-    run,
-    tokenize,
-)
+from repro.messengers.mcl import DoneCommand, Frame, compile_source, run
+from repro.messengers.mcl.lexer import tokenize
 
 # -- random integer expressions ------------------------------------------------
 

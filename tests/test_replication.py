@@ -21,13 +21,8 @@ from repro import (
     ReplicationConfig,
 )
 from repro.perf import TraceHasher
-from repro.replication import (
-    QuorumLiveness,
-    ReplicaConvergence,
-    merge_stages,
-    merge_vv,
-    vv_dominates,
-)
+from repro.replication import QuorumLiveness, ReplicaConvergence
+from repro.replication.core import merge_stages, merge_vv, vv_dominates
 from repro.resilience import ResiliencePolicy, ScheduleSearcher
 
 

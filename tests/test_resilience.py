@@ -20,20 +20,20 @@ from repro.des import SimOverloadError, SimulationError, Simulator
 from repro.faults import FaultInjector, FaultPlan
 from repro.netsim import Packet, build_lan
 from repro.obs import MetricsRegistry
+from repro.service.invariants import NoRequestLost, RequestBook
 from repro.resilience import (
-    CheckpointIntegrity,
-    GIVE_UP,
-    GvtMonotonic,
     InvariantViolation,
-    LedgerIdentity,
-    NoLostWork,
     ResiliencePolicy,
     ResilienceSuite,
-    RestartPolicy,
     ScheduleSearcher,
     SupervisionEscalation,
-    WorkLedger,
 )
+from repro.resilience.invariants import (
+    CheckpointIntegrity,
+    GvtMonotonic,
+    LedgerIdentity,
+)
+from repro.resilience.supervision import GIVE_UP, RestartPolicy
 
 GRID = TaskGrid(64, 4)
 PROCS = 3
@@ -260,22 +260,6 @@ class TestInvariants:
         assert inv.check(0.1) is None
         assert "backwards" in inv.check(0.2)
 
-    def test_no_lost_work_duplicate_and_lost(self):
-        ledger = WorkLedger()
-        inv = NoLostWork(ledger)
-        ledger.issue("a")
-        ledger.issue("b")
-        ledger.complete("a")
-        assert inv.check(0.0) is None
-        assert "never completed" in inv.check_final(1.0)
-        ledger.complete("a")
-        assert "duplicate" in inv.check(1.0)
-
-    def test_no_lost_work_unissued_completion(self):
-        ledger = WorkLedger()
-        ledger.complete("ghost")
-        assert "never issued" in NoLostWork(ledger).check(0.0)
-
     def test_ledger_identity(self):
         metrics = MetricsRegistry()
         inv = LedgerIdentity(metrics, n_tracks=2)
@@ -297,29 +281,31 @@ class TestInvariants:
         sim = Simulator()
         network = build_lan(sim, 2)
         suite = ResilienceSuite(network, ResiliencePolicy())
-        ledger = WorkLedger()
-        suite.add_invariant(NoLostWork(ledger))
+        book = RequestBook()
+        suite.add_invariant(NoRequestLost(book))
 
         def workload():
-            ledger.issue("a")
-            ledger.complete("a")
+            book.create(1, sim.now)
+            book.resolve(1, "completed", sim.now)
             yield sim.timeout(0.06)
-            ledger.complete("a")  # the bug: accepted twice
+            suite.note("resolve", rid=2)
+            book.resolve(2, "completed", sim.now)  # the bug: never created
             yield sim.timeout(0.2)
 
         sim.process(workload())
         with pytest.raises(InvariantViolation) as excinfo:
             sim.run()
-        assert excinfo.value.invariant == "no-lost-work"
+        assert excinfo.value.invariant == "no-request-lost"
+        assert (0.06, "resolve", {"rid": 2}) in excinfo.value.excerpt
         assert excinfo.value.t < 0.26  # first sweep after the bug, not the end
 
     def test_check_final_catches_lost_work(self):
         sim = Simulator()
         network = build_lan(sim, 2)
         suite = ResilienceSuite(network, ResiliencePolicy())
-        ledger = WorkLedger()
-        suite.add_invariant(NoLostWork(ledger))
-        ledger.issue("a")
+        book = RequestBook()
+        suite.add_invariant(NoRequestLost(book))
+        book.create(1, 0.0)
         sim.run()
         with pytest.raises(InvariantViolation):
             suite.check_final()
@@ -336,7 +322,7 @@ class TestInvariants:
         sim = Simulator()
         network = build_lan(sim, 2)
         suite = ResilienceSuite(network, ResiliencePolicy())
-        suite.add_invariant(NoLostWork(WorkLedger()))
+        suite.add_invariant(NoRequestLost(RequestBook()))
 
         def keep_alive():
             yield sim.timeout(0.2)
@@ -345,7 +331,7 @@ class TestInvariants:
         sim.run()
         suite.check_final()
         stats = suite.stats()
-        assert stats["invariants"] == ["no-lost-work"]
+        assert stats["invariants"] == ["no-request-lost"]
         assert stats["invariant_checks"] > 0
 
     def test_clean_crashy_run_passes_invariants(self):

@@ -23,21 +23,18 @@ from repro import (
 )
 from repro.des.rng import RngRegistry
 from repro.perf import hashing_all_simulators
-from repro.service import (
+from repro.service import ServiceConfig, ServiceWorkload
+from repro.service.arrivals import iter_arrival_times
+from repro.service.degradation import (
     CLOSED,
     HALF_OPEN,
     LEGAL_TRANSITIONS,
     OPEN,
     AdmissionController,
-    BreakerSanity,
     CircuitBreaker,
-    NoRequestLost,
-    RequestBook,
-    ServiceConfig,
-    ServiceWorkload,
-    arrival_times,
     retry_schedule,
 )
+from repro.service.invariants import BreakerSanity, NoRequestLost, RequestBook
 
 
 def build(rate=150.0, duration=0.25, degradation=True, plan=None, seed=3,
@@ -73,7 +70,7 @@ class TestArrivals:
             arrivals=kind, rate_rps=rate, duration_s=duration
         )
         rng = RngRegistry(seed).stream("service.arrivals")
-        return arrival_times(config, rng)
+        return list(iter_arrival_times(config, rng))
 
     @pytest.mark.parametrize("kind", ["poisson", "bursty", "diurnal"])
     def test_deterministic_and_sorted(self, kind):
@@ -99,7 +96,7 @@ class TestArrivals:
             arrivals="bursty", rate_rps=400.0, duration_s=2.0,
         )
         rng = RngRegistry(0).stream("service.arrivals")
-        times = arrival_times(config, rng)
+        times = list(iter_arrival_times(config, rng))
         period = 0.12
         on = sum(1 for t in times if (t % period) < 0.06)
         off = len(times) - on
@@ -450,7 +447,7 @@ class TestFacade:
 
 class TestScheduleSearch:
     def test_invariants_clean_over_100_schedules(self):
-        from repro.bench import run_degradation_search
+        from repro.bench.service_experiments import run_degradation_search
 
         report = run_degradation_search(max_schedules=120)
         assert report["clean"], report["violations"]

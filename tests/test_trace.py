@@ -4,13 +4,8 @@ import pytest
 
 from repro.des import Simulator
 from repro.netsim import build_lan
-from repro.messengers import (
-    MessengersSystem,
-    Tracer,
-    build_grid,
-    to_dot,
-    to_networkx,
-)
+from repro.messengers import MessengersSystem, Tracer, build_grid
+from repro.messengers.trace import to_dot, to_networkx
 
 
 @pytest.fixture
@@ -37,7 +32,7 @@ class TestTracer:
         system, tracer = traced_system
         system.inject("f() { M_sched_time_abs(1); }")
         system.run_to_quiescence()
-        [done] = tracer.of_kind("done")
+        [done] = [e for e in tracer.events if e.kind == "done"]
         journey = tracer.journey(done.messenger)
         assert [e.kind for e in journey] == ["sched", "done"]
         assert journey[0].vt == 0.0

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.des import Simulator
-from repro.mp import GroupRegistry, MessagePassingSystem
+from repro.mp import MessagePassingSystem
+from repro.mp.groups import GroupRegistry
 from repro.netsim import CostModel, Packet, build_lan
 from repro.messengers import MessengersSystem
 
@@ -26,7 +27,6 @@ class TestGroupRegistry:
         for tid in (5, 6, 7):
             groups.join("g", tid)
         groups.leave("g", 6)
-        assert groups.instance_of("g", 7) == 1
         assert groups.tid_of("g", 1) == 7
 
     def test_leave_unknown_raises(self, groups):
@@ -37,8 +37,6 @@ class TestGroupRegistry:
         groups.join("g", 1)
         with pytest.raises(KeyError):
             groups.tid_of("g", 5)
-        with pytest.raises(KeyError):
-            groups.instance_of("g", 99)
 
     def test_barrier_count_mismatch(self, groups):
         groups.barrier("g", 3)
@@ -102,7 +100,7 @@ class TestTransportEdges:
         done = []
 
         def receiver(sim):
-            yield net.receive("host1", "bulk")
+            yield net.host("host1").port("bulk").get()
             done.append(sim.now)
 
         sim.process(receiver(sim))
@@ -141,4 +139,4 @@ class TestReprsAndIntrospection:
         net = build_lan(sim, 2)
         net.post(Packet("host0", "host1", "svc", None, 50_000))
         sim.run()
-        assert 0 < net.segment.utilization() <= 1
+        assert 0 < net.segment.busy_seconds <= sim.now

@@ -4,11 +4,8 @@ native registry, vtime edge cases."""
 import pytest
 
 from repro.des import RngRegistry, Simulator
-from repro.messengers import (
-    MessengersSystem,
-    NativeRegistry,
-    UnknownNativeError,
-)
+from repro.messengers import MessengersSystem, UnknownNativeError
+from repro.messengers.natives import NativeRegistry
 from repro.messengers.mcl import compile_source
 from repro.messengers.messenger import Messenger
 from repro.messengers.vtime import VirtualTimeError
@@ -39,12 +36,6 @@ class TestRngRegistry:
             RngRegistry(1).stream("x").random()
             != RngRegistry(2).stream("x").random()
         )
-
-    def test_reset(self):
-        registry = RngRegistry(3)
-        first = registry.stream("s").random()
-        registry.reset()
-        assert registry.stream("s").random() == first
 
 
 class TestMessengerObject:
