@@ -129,8 +129,10 @@ def run_messengers(
     if cluster.resilience is not None:
         cluster.resilience.check_final()
         stats["resilience"] = cluster.resilience_stats
+    image = grid.assemble(results)
+    results.clear()  # the natives' closures must not pin the blocks
     return MessengersMandelbrotResult(
-        image=grid.assemble(results),
+        image=image,
         seconds=elapsed,
         n_workers=n_workers,
         hops_local=local,

@@ -85,15 +85,20 @@ def run_messengers(
     m: int,
     costs: CostModel = DEFAULT_COSTS,
     cpu_scale: float = 1.0,
+    metrics=None,
 ) -> MessengersMatmulResult:
-    """Run the Figure-11 program on an ``m × m`` grid of daemons."""
+    """Run the Figure-11 program on an ``m × m`` grid of daemons
+    (``metrics``: an optional :class:`~repro.obs.MetricsRegistry`)."""
     n = a.shape[0]
     if n % m:
         raise ValueError(f"matrix size {n} not divisible by grid {m}")
     s = n // m
     system = Cluster(config=ClusterConfig(
-        n_hosts=m * m, costs=costs, cpu_scale=cpu_scale
+        n_hosts=m * m, costs=costs, cpu_scale=cpu_scale,
+        metrics=metrics if metrics is not None else False,
     )).messengers
+    # A finished Messenger carries its blocks: do not archive it.
+    system.retain_finished = False
     nodes = build_grid(system, m)
 
     flops = multiply_flops(s)
@@ -135,12 +140,14 @@ def run_messengers(
 
     elapsed = system.run_to_quiescence()
 
+    # Copy C out and empty the node variables: the cluster is cyclic
+    # garbage once this returns, and must not pin the blocks.
     c = np.zeros_like(a)
     for i in range(m):
         for j in range(m):
-            c[i * s : (i + 1) * s, j * s : (j + 1) * s] = nodes[
-                grid_node_name(i, j)
-            ].variables["C"]
+            variables = nodes[grid_node_name(i, j)].variables
+            c[i * s : (i + 1) * s, j * s : (j + 1) * s] = variables["C"]
+            variables.clear()
     _local, remote = system.total_hops()
     return MessengersMatmulResult(
         c=c,

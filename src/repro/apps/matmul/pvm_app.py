@@ -82,14 +82,17 @@ def run_pvm(
     m: int,
     costs: CostModel = DEFAULT_COSTS,
     cpu_scale: float = 1.0,
+    metrics=None,
 ) -> PvmMatmulResult:
-    """Run the Figure-9 program on an ``m × m`` grid of hosts."""
+    """Run the Figure-9 program on an ``m × m`` grid of hosts
+    (``metrics``: an optional :class:`~repro.obs.MetricsRegistry`)."""
     n = a.shape[0]
     if n % m:
         raise ValueError(f"matrix size {n} not divisible by grid {m}")
     s = n // m
     cluster = Cluster(config=ClusterConfig(
-        n_hosts=m * m, costs=costs, cpu_scale=cpu_scale
+        n_hosts=m * m, costs=costs, cpu_scale=cpu_scale,
+        metrics=metrics if metrics is not None else False,
     ))
     system = cluster.mp
 

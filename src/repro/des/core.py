@@ -454,17 +454,18 @@ class Simulator:
         delay: float = 0.0,
         priority: int = NORMAL,
         daemon: bool = False,
+        at: Optional[float] = None,
     ) -> None:
-        """Insert a triggered event into the queue ``delay`` from now.
+        """Insert a triggered event into the queue ``delay`` from now
+        (or at the instant ``at``, with no float round trip).
 
         ``daemon=True`` schedules a background event that does not keep
         :meth:`run` alive once all foreground events have drained.
         """
         eid = self._eid
         self._eid = eid + 1
-        _heappush(
-            self._queue, (self._now + delay, priority, eid, daemon, event)
-        )
+        time = self._now + delay if at is None else at
+        _heappush(self._queue, (time, priority, eid, daemon, event))
         if not daemon:
             self._fg_pending += 1
 

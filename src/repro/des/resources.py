@@ -149,21 +149,26 @@ class Resource:
         self.release(hold)
         if hold._ok:
             hold._done()
-        cbs = hold._cbs
-        if len(cbs) > 1 and self.sim.due_now():
-            # Something else is due at this very instant.  A sub-process
-            # woke its waiter through an event created now, behind all
-            # that, and simulated results are pinned to that order: the
-            # waiters go round again (in the same slots, so a parked
-            # process still detaches; a failure is unhandled only then).
-            hold.callbacks = [_rearm, *cbs[1:]]
-            del cbs[1:]
-            hold._defused = True
-            self.sim.schedule(hold)
+        requeue_if_due(hold)
 
 
-def _rearm(hold: Hold) -> None:
-    hold._defused = False
+def requeue_if_due(event: Event) -> None:
+    """Close a completion's first callback (``event._cbs`` is its list)."""
+    cbs = event._cbs
+    if len(cbs) > 1 and event.sim.due_now():
+        # Something else is due at this very instant.  A sub-process
+        # woke its waiter through an event created now, behind all
+        # that, and simulated results are pinned to that order: the
+        # waiters go round again (in the same slots, so a parked
+        # process still detaches; a failure is unhandled only then).
+        event.callbacks = [_rearm, *cbs[1:]]
+        del cbs[1:]
+        event._defused = True
+        event.sim.schedule(event)
+
+
+def _rearm(event: Event) -> None:
+    event._defused = False
 
 
 class _Get(Event):

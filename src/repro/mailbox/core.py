@@ -547,6 +547,7 @@ class MailboxService:
         port = daemon.host.port(self.port_name)
         costs = self.system.costs
         while True:
+            packet = mail = None  # park holding no work item
             packet = yield port.get()
             kind, mail = packet.payload
             if kind == "repl":

@@ -110,6 +110,8 @@ class Daemon:
         port = self.host.port(self.port_name)
         costs = self.system.costs
         while True:
+            # Park holding no work item (a Messenger carries its blocks).
+            packet = data = messenger = item = origin_node = None
             packet = yield port.get()
             kind, data = packet.payload
             metrics = self.sim.obs
@@ -233,6 +235,7 @@ class Daemon:
         termination (§2.1).
         """
         while True:
+            messenger = None  # park holding no work item
             messenger = yield self.ready.get()
             if not messenger.alive:
                 continue

@@ -253,6 +253,7 @@ class MessagePassingSystem:
         """
         port = self.network.host(host_name).port(self.port_name)
         while True:
+            packet = buf = task = None  # park holding no work item
             packet = yield port.get()
             dst_tid, src_tid, tag, buf = packet.payload
             task = self._tasks.get(dst_tid)

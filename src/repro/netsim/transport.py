@@ -313,6 +313,7 @@ class Network:
         outbound = host.port("_tx")
         overhead = self.costs.endpoint_overhead_s
         while True:
+            packet = done = None  # park holding no work item
             packet, done = yield outbound.get()
             if host.crashed:
                 # A retransmit timer raced the crash; the frame dies in
@@ -407,6 +408,7 @@ class Network:
         """Resolve retransmit timers from acks arriving at ``host``."""
         port = host.port("_ack")
         while True:
+            ack = pending = None  # park holding no work item
             ack = yield port.get()
             pending = self._awaiting_ack.pop(ack.payload, None)
             if pending is not None and not pending.triggered:

@@ -13,6 +13,8 @@ from repro.apps.matmul import (
     run_pvm,
 )
 from repro.apps.matmul.kernel import block_of, set_block
+from repro.netsim import ethernet
+from repro.obs import MetricsRegistry
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +133,28 @@ class TestVirtualTimeCoordination:
         result = run_messengers(a, b, 2)
         # A-distribution: 2 rows x 1; B-rotation: 4 nodes x 2 iterations
         assert result.hops_remote >= 8
+
+
+class TestCountedRuns:
+    @pytest.mark.parametrize("runner", [run_messengers, run_pvm])
+    def test_counted_frames_equal_the_segment_count(
+        self, operands, monkeypatch, runner
+    ):
+        segments = []
+        build = ethernet.EthernetSegment.__init__
+
+        def recording(segment, *args, **kwargs):
+            build(segment, *args, **kwargs)
+            segments.append(segment)
+
+        monkeypatch.setattr(ethernet.EthernetSegment, "__init__", recording)
+        a, b = operands
+        registry = MetricsRegistry()
+        plain = runner(a, b, 3)
+        counted = runner(a, b, 3, metrics=registry)
+        assert counted.seconds == plain.seconds
+        frames = registry.snapshot()["netsim.eth.frames"]
+        assert frames == segments[-1].frames_carried > 9
 
 
 class TestPerformanceShape:

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.des import SimDeadlockError, Simulator
+from repro.des.core import _describe_wait
 from repro.faults import FaultInjector, FaultPlan
 from repro.netsim import (
     CostModel,
@@ -200,9 +201,10 @@ class TestHostCrashSemantics:
     ):
         host = Host(sim, "h0", costs)
         segment = EthernetSegment(sim, costs)
-        # Slots taken and never returned: everything behind them starves.
+        # A CPU slot taken and never returned: everything behind it
+        # starves.  The medium has no slot to take: a frame always
+        # completes, so its label shows only mid-transmit.
         host.cpu.request()
-        segment._medium.request()
 
         def wants_cpu():
             yield host.busy(1.0)
@@ -211,12 +213,13 @@ class TestHostCrashSemantics:
             yield segment.transmit(4000)
 
         sim.process(wants_cpu())
-        sim.process(wants_wire())
+        wire = sim.process(wants_wire())
+        sim.run(until=costs.wire_seconds(1500))
+        assert _describe_wait(wire) == "ethernet.medium"
         with pytest.raises(SimDeadlockError) as excinfo:
             sim.run()
-        assert dict(excinfo.value.blocked) == {
-            "wants_cpu": "host.cpu", "wants_wire": "ethernet.medium",
-        }
+        assert dict(excinfo.value.blocked) == {"wants_cpu": "host.cpu"}
+        assert not wire.is_alive
 
 
 class TestEthernet:

@@ -8,7 +8,10 @@ Ethernet frame became one kernel event each (21 -> 8 events per remote
 hop): event ids shifted, nothing else did — the result hashes, clocks
 and fault counters are the old ones, and ``GOLDEN_LEDGER`` (captured on
 the commit before that change) pins delivery times and the obs ledger
-across it.  Every optimisation must reproduce all of them exactly:
+across it.  ``matmul_messengers_2x2`` (the one pin whose packets span
+several frames) was re-pinned once more when the Ethernet segment
+stopped scheduling an event per fragment (225 -> 189 events), with its
+result hash and ledger unchanged.  Every optimisation must reproduce all of them exactly:
 
 * the **trace hash** folds every executed event — time, priority,
   event id, daemon flag, event type — in execution order, so it pins
@@ -58,7 +61,7 @@ GOLDEN = {
         "9353ee5a5fa04b2f7221e4dcaaec75a1", 662, None,
     ),
     "matmul_messengers_2x2": (
-        "2db16d63a241c29cb1a10eb6b76de65e", 225,
+        "c392179ac7272cb5c2206619b514ffbd", 189,
         "fbe52d7374df5502044ad556af3d2f9c",
     ),
     "mandelbrot_messengers_big": (
